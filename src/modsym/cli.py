@@ -6,8 +6,9 @@ and parentheses, e.g. ``(t^2-1)/(t^2-4)``.  JSON is the canonical machine
 interface; expressions are sugar.  Output is deterministic for a fixed seed
 (``--seed`` or the MODSYM_SEED environment variable).
 
-Exit codes: 0 success, 1 input/validation error, 2 mathematical
-precondition failure (the JSON body carries the library error name).
+Exit codes: 0 success, 1 input/validation error (an ``InvalidInput`` error
+carries its library name in the JSON body), 2 mathematical precondition
+failure (the JSON body carries the library error name).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from . import factor as _factor
 from .chow import ZeroCycleWithModulus, chow_class, higher_cycle_class, zero_cycle
 from .curve import INF, Divisor
-from .errors import ModsymError
+from .errors import InvalidInput, ModsymError
 from .fields import FpField, QField, RatFunField, make_field
 from .fixtures import FIXTURES, run_fixtures
 from .kahler import DifferentialForm, dlog
@@ -506,7 +507,7 @@ def main(argv=None):
         out = args.handler(args)
     except ModsymError as e:
         _emit({"error": type(e).__name__, "message": str(e)}, args.json)
-        return 2
+        return 1 if isinstance(e, InvalidInput) else 2
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
         _emit({"error": "validation", "message": str(e)}, args.json)
         return 1

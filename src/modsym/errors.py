@@ -1,7 +1,9 @@
 """Exception types shared by all modsym modules.
 
 Every mathematical precondition failure raises a subclass of ModsymError
-carrying a stable ``name`` used by the CLI for error reporting.
+carrying a stable ``name`` used by the CLI for error reporting.  Subclasses
+of InvalidInput mark input that is malformed rather than mathematically out
+of reach; the CLI exits 1 for them and 2 for the rest.
 """
 
 
@@ -9,8 +11,20 @@ class ModsymError(Exception):
     name = "ModsymError"
 
 
-class NonPrimeCharacteristic(ModsymError):
+class InvalidInput(ModsymError):
+    name = "InvalidInput"
+
+
+class NonPrimeCharacteristic(InvalidInput):
     name = "NonPrimeCharacteristic"
+
+
+class CharacteristicTooLarge(InvalidInput):
+    name = "CharacteristicTooLarge"
+
+
+class IncompatibleTerms(InvalidInput):
+    name = "IncompatibleTerms"
 
 
 class ReduciblePolynomial(ModsymError):

@@ -3,12 +3,18 @@
 Routes:
 
 * finite fields (any finite tower)      -- Cantor-Zassenhaus
-* Q                                     -- sympy (lift-based)
-* Q(u)                                  -- sympy bivariate over QQ
-* F_q(u)                                -- evaluation + Hensel lifting + subset
-                                           recombination (sympy has no
-                                           multivariate factoring over GF(p))
+* Q                                     -- Zassenhaus: Cantor-Zassenhaus mod a
+                                           small prime p, p-adic Hensel lifting
+                                           past the Mignotte bound, subset
+                                           recombination
+* Q(u) and F_q(u)                       -- evaluation at u = c + Hensel lifting
+                                           in F[[u - c]] + subset recombination
+                                           (F_q(u) moves to F_{q^k} when no
+                                           point of F_q is good)
 * separable K[x]/(m) over the above     -- norm-based reduction (resultants)
+
+Every factor found by recombination is certified by exact division (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 15-16).
 
 Multiplicity bookkeeping is characteristic-aware: p-th-power parts are peeled
 off via f(t) = g(t^p) and coefficientwise p-th roots.  Anything outside the
@@ -20,9 +26,8 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
-
-import sympy
+from itertools import combinations, zip_longest
+from math import gcd, isqrt
 
 from .errors import UnsupportedField, ZeroFunction
 from .fields import (
@@ -46,6 +51,7 @@ from .fields import (
     psub,
     ptrim,
     pxgcd,
+    _is_prime,
     _resultant,
 )
 
@@ -140,58 +146,7 @@ def _cz_factor(field, f):
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge (Q and Q(u))
-# ---------------------------------------------------------------------------
-
-
-def _q_factor(field, f):
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(f)], x, domain="QQ"
-    )
-    out = []
-    for fac, _ in poly.factor_list()[1]:
-        cs = tuple(
-            Fraction(int(r.p), int(r.q)) for r in reversed(fac.all_coeffs())
-        )
-        out.append(pmonic(field, cs))
-    return out
-
-
-def _q_ratfun_factor(K, f):
-    """Bivariate factorization over Q for f in Q(u)[t], monic squarefree."""
-    F = K.below
-    t_, u_ = sympy.symbols("t_ u_")
-
-    den = (F.one,)
-    for c in f:
-        g = pgcd(F, den, c[1])
-        den = _pquo(F, pmul(F, den, c[1]), g)
-    coeffs_u = [_pquo(F, pmul(F, c[0], den), c[1]) for c in f]
-
-    def upoly_expr(cu):
-        return sum(
-            sympy.Rational(x.numerator, x.denominator) * u_ ** j
-            for j, x in enumerate(cu)
-        )
-
-    expr = sum(upoly_expr(cu) * t_ ** i for i, cu in enumerate(coeffs_u))
-    out = []
-    for fac, _ in sympy.factor_list(sympy.Poly(expr, t_, u_, domain="QQ"))[1]:
-        pt = sympy.Poly(fac.as_expr(), t_)
-        if pt.degree() == 0:
-            continue  # content in u is a unit of Q(u)
-        fac_coeffs = []
-        for i in range(pt.degree() + 1):
-            cu = sympy.Poly(pt.as_expr().coeff(t_, i), u_).all_coeffs()
-            tup = tuple(Fraction(int(sympy.Rational(r).p), int(sympy.Rational(r).q)) for r in reversed(cu))
-            fac_coeffs.append(K.make(ptrim(F, tup), (F.one,)))
-        out.append(pmonic(K, ptrim(K, fac_coeffs)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bivariate Hensel over finite coefficient fields
+# Hensel lifting, one digit at a time
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +193,200 @@ class _SeriesRing(Field):
         c = self.F.from_int(n)
         return () if self.F.is_zero(c) else (c,)
 
+    # -- the digit interface of _hensel_pair --
+
+    def residual(self, fm, G, H):
+        return psub(self, fm, pmul(self, G, H))
+
+    def digit(self, e, k):
+        """Coefficient of w^k of every series in ``e``, as a poly over F."""
+        F = self.F
+        return ptrim(F, [s[k] if len(s) > k else F.zero for s in e])
+
+    def bump(self, G, r, k):
+        """G + r * w^k for a poly r over F."""
+        F = self.F
+        return padd(
+            self, G, ptrim(self, tuple(() if F.is_zero(c) else (F.zero,) * k + (c,) for c in r))
+        )
+
+
+class _PadicRing:
+    """Z/p^B on int-list polynomials: the p-adic twin of ``_SeriesRing``.
+
+    Only the digit interface of ``_hensel_pair``; ``F`` is F_p.
+    """
+
+    def __init__(self, F, B):
+        self.F = F
+        self.B = B
+        self.modulus = F.p ** B
+
+    def residual(self, fm, G, H):
+        m = self.modulus
+        return [(a - b) % m for a, b in zip_longest(fm, _zmul(G, H), fillvalue=0)]
+
+    def digit(self, e, k):
+        p = self.F.p
+        pk = p ** k
+        return ptrim(self.F, [c // pk % p for c in e])
+
+    def bump(self, G, r, k):
+        pk = self.F.p ** k
+        out = list(G) + [0] * (len(r) - len(G))
+        for i, c in enumerate(r):
+            out[i] += c * pk
+        return out
+
+
+def _zmul(a, b):
+    """Product of int-list polynomials."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zquo(a, b):
+    """a / b for int-list polynomials if the division is exact over Z, else None."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + db], lb)
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] -= c * y
+    return None if any(a[:db]) else q
+
+
+def _hensel_pair(R, F, fm, g, h):
+    """Lift fm = g*h (first digit) to R's precision; g, h monic coprime over F.
+
+    R is ``_SeriesRing`` (w-adic digits) or ``_PadicRing`` (p-adic digits).
+    """
+    _, _, tb = pxgcd(F, g, h)
+    G, H = R.bump((), g, 0), R.bump((), h, 0)
+    for k in range(1, R.B):
+        ek = R.digit(R.residual(fm, G, H), k)
+        if not ek:
+            continue
+        r = pmod(F, pmul(F, ek, tb), g)
+        A = _pquo(F, psub(F, ek, pmul(F, r, h)), g)
+        G = R.bump(G, r, k)
+        H = R.bump(H, A, k)
+    return G, H
+
+
+def _lift_tree(R, F, fm, gs):
+    if len(gs) == 1:
+        return [fm]
+    mid = len(gs) // 2
+    g = (F.one,)
+    for p in gs[:mid]:
+        g = pmul(F, g, p)
+    h = (F.one,)
+    for p in gs[mid:]:
+        h = pmul(F, h, p)
+    G, H = _hensel_pair(R, F, fm, g, h)
+    return _lift_tree(R, F, G, gs[:mid]) + _lift_tree(R, F, H, gs[mid:])
+
+
+def _recombine(n, accept):
+    """Zassenhaus subset search over ``n`` lifted factors.
+
+    ``accept(S)`` builds the candidate of the index tuple ``S`` and keeps it
+    if it is a true factor.  Subsets grow to half of what remains: a product
+    without such a factor is irreducible, and the caller keeps it as one.
+    """
+    remaining = list(range(n))
+    size = 1
+    while 2 * size <= len(remaining):
+        for S in combinations(remaining, size):
+            if accept(S):
+                remaining = [i for i in remaining if i not in S]
+                break
+        else:
+            size += 1
+
+
+# ---------------------------------------------------------------------------
+# Zassenhaus over Q
+# ---------------------------------------------------------------------------
+
+
+def _q_factor(field, f):
+    """Irreducible factors of a monic squarefree f over Q (Zassenhaus).
+
+    The primitive integer model F is split mod the smallest good odd prime
+    p, lifted to p^B past the Mignotte bound, and recombined by subsets;
+    every factor is certified by exact division over Z.
+    """
+    den = 1
+    for c in f:
+        den = den * c.denominator // gcd(den, c.denominator)
+    F = [int(c * den) for c in f]
+    content = gcd(*F)
+    F = [c // content for c in F]
+    lc = F[-1]
+
+    p = 3
+    while True:
+        if lc % p and _is_prime(p):
+            Fp = FpField(p)
+            fbar = pmonic(Fp, ptrim(Fp, [c % p for c in F]))
+            if len(pgcd(Fp, fbar, pderiv(Fp, fbar))) == 1:
+                break
+        p += 2
+    gs = _cz_factor(Fp, fbar)
+    if len(gs) == 1:
+        return [f]
+
+    # p^B > 2 lc 2^n ||F||_2: the symmetric residue of lc*prod(S) then is
+    # the integer polynomial lc/lc(g) * g of any true factor g
+    bound = 2 * lc * 2 ** (len(F) - 1) * (isqrt(sum(c * c for c in F)) + 1)
+    B = 1
+    while p ** B <= bound:
+        B += 1
+    R = _PadicRing(Fp, B)
+    m = R.modulus
+    inv_lc = pow(lc, -1, m)
+    lifted = _lift_tree(R, Fp, [c * inv_lc % m for c in F], gs)
+
+    found = []
+
+    def accept(S):
+        nonlocal F
+        cand = [F[-1]]
+        for i in S:
+            cand = [c % m for c in _zmul(cand, lifted[i])]
+        cand = [c - m if 2 * c > m else c for c in cand]
+        content = gcd(*cand)
+        cand = [c // content for c in cand]
+        quo = _zquo(F, cand)
+        if quo is None:
+            return False
+        found.append(cand)
+        F = quo
+        return True
+
+    _recombine(len(lifted), accept)
+    if len(F) > 1:
+        found.append(F)
+    return [pmonic(field, tuple(Fraction(c) for c in g)) for g in found]
+
+
+# ---------------------------------------------------------------------------
+# bivariate: evaluation, Hensel lifting, recombination over Q(u) and F_q(u)
+# ---------------------------------------------------------------------------
+
 
 def _taylor_shift(F, poly, c):
     """poly(c + w) as a polynomial in w."""
@@ -248,42 +397,6 @@ def _taylor_shift(F, poly, c):
     return out
 
 
-def _hensel_pair(W, F, fm, g, h, B):
-    """Lift fm = g*h mod w to precision B; g, h monic coprime over F."""
-    _, _, tb = pxgcd(F, g, h)
-
-    def emb(poly, k=0):
-        return ptrim(
-            W, tuple(() if F.is_zero(c) else (F.zero,) * k + (c,) for c in poly)
-        )
-
-    G, H = emb(g), emb(h)
-    for k in range(1, B):
-        e = psub(W, fm, pmul(W, G, H))
-        ek = ptrim(F, [s[k] if len(s) > k else F.zero for s in e])
-        if not ek:
-            continue
-        r = pmod(F, pmul(F, ek, tb), g)
-        A = _pquo(F, psub(F, ek, pmul(F, r, h)), g)
-        G = padd(W, G, emb(r, k))
-        H = padd(W, H, emb(A, k))
-    return G, H
-
-
-def _lift_tree(W, F, fm, gs, B):
-    if len(gs) == 1:
-        return [fm]
-    mid = len(gs) // 2
-    g = (F.one,)
-    for p in gs[:mid]:
-        g = pmul(F, g, p)
-    h = (F.one,)
-    for p in gs[mid:]:
-        h = pmul(F, h, p)
-    G, H = _hensel_pair(W, F, fm, g, h, B)
-    return _lift_tree(W, F, G, gs[:mid], B) + _lift_tree(W, F, H, gs[mid:], B)
-
-
 def _find_irreducible(F, k, rng):
     while True:
         cand = tuple(F.rand(rng) for _ in range(k)) + (F.one,)
@@ -291,11 +404,22 @@ def _find_irreducible(F, k, rng):
             return cand
 
 
-def _fq_ratfun_factor(K, f):
-    """Factor monic squarefree f in F_q(u)[t] by lifting from u = c.
+def _eval_points(E, count):
+    """All of a finite E; else the integers 0, 1, -1, 2, -2, ... (count of them)."""
+    if E.size() is not None:
+        yield from elems(E)
+        return
+    for i in range(count):
+        yield E.from_int((i + 1) // 2 * (1 if i % 2 else -1))
 
-    If no evaluation point in F_q keeps the input squarefree, points are
-    taken in an extension F_{q^k}; candidate factors are projected back.
+
+def _ratfun_factor(K, f):
+    """Factor monic squarefree f in F(u)[t], F = Q or finite, by lifting from u = c.
+
+    Over Q, 2*deg_t*deg_u + 1 integer points hold more than the roots of the
+    leading coefficient and of Res_t(f, f'), so a good point always exists.
+    If no point of a finite F keeps the input squarefree, points are taken in
+    an extension F_{q^k}; candidate factors are projected back.
     """
     F = K.below
 
@@ -314,12 +438,13 @@ def _fq_ratfun_factor(K, f):
     if du == 0:
         const = ptrim(F, [c[0] if c else F.zero for c in cu])
         return [
-            tuple(K.lift(x) for x in fac) for fac in _cz_factor(F, pmonic(F, const))
+            tuple(K.lift(x) for x in fac) for fac in factor_squarefree(F, const)
         ]
 
+    finite = F.size() is not None
     rng = random.Random(_RNG_SEED)
     fcur = pmonic(K, ptrim(K, [K.make(c, (F.one,)) for c in cu]))
-    for ext_deg in (1, 2, 3, 4):
+    for ext_deg in (1, 2, 3, 4) if finite else (1,):
         if ext_deg == 1:
             E = F
             lift_e = lambda x: x
@@ -331,7 +456,7 @@ def _fq_ratfun_factor(K, f):
         cu_e = [tuple(lift_e(x) for x in c) for c in cu]
         lead = cu_e[-1]
         c0 = None
-        for cand in elems(E):
+        for cand in _eval_points(E, 2 * (len(cu) - 1) * du + 1):
             if E.is_zero(peval(E, lead, cand)):
                 continue
             f_at = pmonic(E, ptrim(E, [peval(E, c, cand) for c in cu_e]))
@@ -341,53 +466,42 @@ def _fq_ratfun_factor(K, f):
         if c0 is None:
             continue
 
-        B = 2 * du + 1
-        W = _SeriesRing(E, B)
+        W = _SeriesRing(E, 2 * du + 1)
         ser = [W._cut(_taylor_shift(E, c, c0)) for c in cu_e]
         lead_ser = ser[-1]
         inv_lead = W.inv(lead_ser)
         fm = ptrim(W, [W.mul(s, inv_lead) for s in ser])
-        gs = _cz_factor(E, pmonic(E, ptrim(E, [peval(E, c, c0) for c in cu_e])))
+        gs = factor_squarefree(E, f_at)
         if len(gs) == 1:
             return [fcur]
-        lifted = _lift_tree(W, E, fm, gs, B)
+        lifted = _lift_tree(W, E, fm, gs)
 
         neg_c0 = E.neg(c0)
         found = []
-        remaining = list(range(len(lifted)))
-        size = 1
-        while remaining and size <= len(remaining):
-            hit = None
-            for S in combinations(remaining, size):
-                H = (W.one,)
-                for i in S:
-                    H = pmul(W, H, lifted[i])
-                cand = ptrim(W, [W.mul(lead_ser, s) for s in H])
-                cand_coeffs = []
-                ok = True
-                for s in cand:
-                    upoly = _taylor_shift(E, s, neg_c0)
-                    down = tuple(proj_e(x) for x in upoly)
-                    if any(d is None for d in down):
-                        ok = False
-                        break
-                    cand_coeffs.append(K.make(ptrim(F, down), (F.one,)))
-                if not ok:
-                    continue
-                cand_K = ptrim(K, cand_coeffs)
-                if len(cand_K) < 2:
-                    continue
-                cand_K = pmonic(K, cand_K)
-                q, r = pdivmod(K, fcur, cand_K)
-                if not r:
-                    found.append(cand_K)
-                    fcur = q
-                    hit = set(S)
-                    break
-            if hit is None:
-                size += 1
-            else:
-                remaining = [i for i in remaining if i not in hit]
+
+        def accept(S):
+            nonlocal fcur
+            H = (W.one,)
+            for i in S:
+                H = pmul(W, H, lifted[i])
+            cand_coeffs = []
+            for s in ptrim(W, [W.mul(lead_ser, s) for s in H]):
+                down = tuple(proj_e(x) for x in _taylor_shift(E, s, neg_c0))
+                if any(d is None for d in down):
+                    return False
+                cand_coeffs.append(K.make(ptrim(F, down), (F.one,)))
+            cand = ptrim(K, cand_coeffs)
+            if len(cand) < 2:
+                return False
+            cand = pmonic(K, cand)
+            q, r = pdivmod(K, fcur, cand)
+            if r:
+                return False
+            found.append(cand)
+            fcur = q
+            return True
+
+        _recombine(len(lifted), accept)
         if len(fcur) > 1:
             found.append(fcur)
         return found
@@ -482,10 +596,8 @@ def factor_squarefree(field, f):
     if isinstance(field, QField):
         return _q_factor(field, f)
     if isinstance(field, RatFunField):
-        if isinstance(field.below, QField):
-            return _q_ratfun_factor(field, f)
-        if field.below.size() is not None:
-            return _fq_ratfun_factor(field, f)
+        if isinstance(field.below, QField) or field.below.size() is not None:
+            return _ratfun_factor(field, f)
         raise UnsupportedField("rational functions over an unsupported base")
     if isinstance(field, ExtField) and not field.inseparable:
         return _ext_factor(field, f)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (
+    CharacteristicTooLarge,
     NonPrimeCharacteristic,
     PthPowerRoot,
     ReduciblePolynomial,
@@ -28,14 +29,34 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the 13 prime bases 2..41 decides primality for every
+# n below this bound (Sorenson & Webster 2015); larger characteristics are
+# rejected rather than guessed.
+PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
+    """Deterministic primality for ``n < PRIME_LIMIT``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -201,6 +222,8 @@ class QField(Field):
 
 class FpField(Field):
     def __init__(self, p):
+        if p >= PRIME_LIMIT:
+            raise CharacteristicTooLarge(f"characteristic {p} is not below {PRIME_LIMIT}")
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p

@@ -14,7 +14,7 @@ a tensor a(x)b mapping to (a db, ab); the alternative decomposition
 
 from __future__ import annotations
 
-from .errors import NotAlgebraicStep, UnsupportedField, ZeroArgument
+from .errors import IncompatibleTerms, NotAlgebraicStep, UnsupportedField, ZeroArgument
 from .fields import (
     ExtField,
     RatFunField,
@@ -176,7 +176,10 @@ class DifferentialForm:
 
     def __add__(self, other):
         K = self.field
-        assert other.degree == self.degree
+        if other.degree != self.degree:
+            raise IncompatibleTerms(
+                f"forms of degrees {self.degree} and {other.degree} cannot be added"
+            )
         out = dict(self.coords)
         for m, c in other.coords.items():
             out[m] = K.add(out.get(m, K.zero), c)

@@ -33,6 +33,7 @@ from .errors import (
     CharacteristicUnsupported,
     CongruenceFailure,
     ConductorCertificateFailure,
+    IncompatibleTerms,
     NoEvaluationMap,
     UnsupportedField,
     ZeroArgument,
@@ -100,7 +101,8 @@ class SymbolSum:
         self.terms = tuple(merged[k] for k in order if merged[k].coeff != 0)
 
     def __add__(self, other):
-        assert other.base == self.base and other.convention == self.convention
+        if other.base != self.base or other.convention != self.convention:
+            raise IncompatibleTerms("symbol sums over different bases or conventions")
         return SymbolSum(self.base, self.convention, self.terms + other.terms)
 
     def __neg__(self):
@@ -354,7 +356,6 @@ def _trace_chain(L, base):
 def eval_omega(s, allow_out_of_hypothesis=False):
     """[a, b_1,...,b_n] -> Tr(a dlog b_1 ^ ... ^ dlog b_n) in Omega^n."""
     _guard_char(s.base, {2, 3, 5}, allow_out_of_hypothesis)
-    n = None
     total = None
     for term in s.terms:
         if not (term.tags and term.tags[0] == "Ga" and all(t == "Gm" for t in term.tags[1:])):
@@ -365,12 +366,7 @@ def eval_omega(s, allow_out_of_hypothesis=False):
         for step in _trace_chain(L, s.base):
             form = trace_form(step, form)
         form = form.scale(s.base.from_int(term.coeff))
-        if total is None:
-            n = form.degree
-            total = form
-        else:
-            assert form.degree == n
-            total = total + form
+        total = form if total is None else total + form  # IncompatibleTerms on mixed arity
     if total is None:
         arity = 1
         return DifferentialForm.zero(s.base, arity - 1)
