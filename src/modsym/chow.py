@@ -18,6 +18,7 @@ from .curve import check_congruence, divisor_of, evaluate_at, residue_field
 from .errors import (
     CharacteristicUnsupported,
     CongruenceFailure,
+    IncompatibleTerms,
     PointOnDivisor,
     ZeroFirstCoordinate,
 )
@@ -43,7 +44,8 @@ class ZeroCycleWithModulus:
     terms: tuple  # ((L, (c1, c2), coeff), ...)
 
     def __add__(self, other):
-        assert other.base == self.base and other.tags == self.tags
+        if other.base != self.base or other.tags != self.tags:
+            raise IncompatibleTerms("zero-cycles over different bases or ambient pairs")
         return ZeroCycleWithModulus(
             self.base, self.tags, self.conv, self.terms + other.terms
         )

@@ -21,7 +21,7 @@ import sys
 from . import factor as _factor
 from .chow import ZeroCycleWithModulus, chow_class, higher_cycle_class, zero_cycle
 from .curve import INF, Divisor
-from .errors import InvalidInput, ModsymError
+from .errors import ExponentTooLarge, InvalidInput, ModsymError
 from .fields import FpField, QField, RatFunField, make_field
 from .fixtures import FIXTURES, run_fixtures
 from .kahler import DifferentialForm, dlog
@@ -51,6 +51,11 @@ from .symcalc import SymbolSum, eval_jet, eval_milnor, eval_omega, make_relation
 # ---------------------------------------------------------------------------
 # parsing: fields, elements, divisors
 # ---------------------------------------------------------------------------
+
+# Largest |n| accepted in ``x^n``: the degree of a power, and with it the
+# cost of everything built on it, grows with n; ``t^1000`` over F7(u)(t)
+# answers in well under a second.
+MAX_EXPONENT = 1000
 
 
 def parse_field(spec):
@@ -155,7 +160,10 @@ class _ExprParser:
                 self.i += 1
             if j == self.i:
                 raise ValueError("missing exponent")
-            v = R.pow(v, int(self.t[j : self.i]))
+            n = int(self.t[j : self.i])
+            if abs(n) > MAX_EXPONENT:
+                raise ExponentTooLarge(f"|exponent| {abs(n)} exceeds {MAX_EXPONENT}")
+            v = R.pow(v, n)
         return v
 
     def atom(self):

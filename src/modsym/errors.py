@@ -27,6 +27,10 @@ class IncompatibleTerms(InvalidInput):
     name = "IncompatibleTerms"
 
 
+class ExponentTooLarge(InvalidInput):
+    name = "ExponentTooLarge"
+
+
 class ReduciblePolynomial(ModsymError):
     name = "ReduciblePolynomial"
 

@@ -19,6 +19,13 @@ Gathen & Gerhard, *Modern Computer Algebra*, ch. 15-16).
 Multiplicity bookkeeping is characteristic-aware: p-th-power parts are peeled
 off via f(t) = g(t^p) and coefficientwise p-th roots.  Anything outside the
 table above raises UnsupportedField.
+
+:func:`factor` is memoized: it keeps the ``fields.CACHE_SIZE`` most recently
+used results, keyed by the field and the trimmed coefficient tuple (fields
+hash and compare structurally, elements are canonical normal forms).  The
+result is canonical -- monic irreducible factors sorted by ``_sort_key`` --
+so it does not depend on ``_RNG_SEED``, and the seed is not part of the key.
+Cached values are immutable; every call gets a fresh list.
 """
 
 from __future__ import annotations
@@ -26,11 +33,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 
 from .errors import UnsupportedField, ZeroFunction
 from .fields import (
+    CACHE_SIZE,
     ExtField,
     Field,
     FpField,
@@ -657,10 +666,14 @@ def factor(field, coeffs):
     f = ptrim(field, coeffs)
     if not f:
         raise ZeroFunction("cannot factor the zero polynomial")
-    lead = f[-1]
+    lead, items = _factor_cached(field, f)
+    return lead, list(items)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _factor_cached(field, f):
     facs = _factor_monic(field, pmonic(field, f))
-    items = sorted(facs.items(), key=lambda kv: _sort_key(field, kv[0]))
-    return lead, items
+    return f[-1], tuple(sorted(facs.items(), key=lambda kv: _sort_key(field, kv[0])))
 
 
 def is_irreducible(field, coeffs):

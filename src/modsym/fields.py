@@ -18,10 +18,12 @@ The public entry point mirroring the CLI descriptor grammar is
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     CharacteristicTooLarge,
     NonPrimeCharacteristic,
+    NotAlgebraicStep,
     PthPowerRoot,
     ReduciblePolynomial,
     UnsupportedField,
@@ -34,6 +36,10 @@ from .errors import (
 # rejected rather than guessed.
 PRIME_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Results kept by each memo of an exact kernel (``trace_norm`` here and
+# ``factor.factor``): a fixed bound, so memory stays flat in long runs.
+CACHE_SIZE = 256
 
 
 def _is_prime(n):
@@ -79,19 +85,8 @@ class Field:
         out.reverse()
         return out
 
-    def depth(self):
-        return len(self.chain())
-
     def var_names(self):
         return [f.var for f in self.chain() if f.var is not None]
-
-    def is_extension_of(self, other):
-        f = self
-        while f is not None:
-            if f is other or f == other:
-                return True
-            f = f.below
-        return False
 
     def steps_above(self, other):
         """Levels strictly above ``other``, bottom first."""
@@ -156,13 +151,6 @@ class Field:
     def in_below_image(self, a):
         """Return the element of the field below mapping to ``a``, else None."""
         raise UnsupportedField("base field has no level below")
-
-    def elem(self, data):
-        return Elem(self, data)
-
-    def __call__(self, n):
-        """Coerce a Python int."""
-        return Elem(self, self.from_int(n))
 
     # -- p-th powers ----------------------------------------------------
 
@@ -859,12 +847,18 @@ def field_to_descriptor(field):
 def trace_norm(field, a):
     """Trace and norm of multiplication by ``a`` along the top step.
 
-    ``field`` must be an ExtField; returns a pair in the field below.
+    ``field`` must be an ExtField; returns a pair in the field below.  The
+    ``CACHE_SIZE`` most recently used results are kept, keyed by the field
+    and ``a`` (a canonical coefficient tuple): trace and norm are exact, so
+    the cache never shows in a result.
     """
-    from .errors import NotAlgebraicStep
-
     if not isinstance(field, ExtField):
         raise NotAlgebraicStep("top step is not algebraic")
+    return _trace_norm(field, tuple(a))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _trace_norm(field, a):
     K = field.below
     d = field.deg
     # trace: sum of diagonal entries of the multiplication matrix
@@ -916,80 +910,3 @@ def norm_to(top, base, a):
         a = trace_norm(f, a)[1]
         f = f.below
     return a
-
-
-# ---------------------------------------------------------------------------
-# element wrapper
-# ---------------------------------------------------------------------------
-
-
-class Elem:
-    """Thin operator-overloading wrapper around (field, raw data)."""
-
-    __slots__ = ("field", "data")
-
-    def __init__(self, field, data):
-        self.field = field
-        self.data = data
-
-    def _coerce(self, other):
-        if isinstance(other, Elem):
-            if other.field == self.field:
-                return other.data
-            if self.field.is_extension_of(other.field):
-                return self.field.lift_from(other.field, other.data)
-            raise TypeError("elements of incompatible fields")
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        d = self._coerce(other)
-        return Elem(self.field, self.field.add(self.data, d))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Elem(self.field, self.field.neg(self.data))
-
-    def __sub__(self, other):
-        d = self._coerce(other)
-        return Elem(self.field, self.field.sub(self.data, d))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        d = self._coerce(other)
-        return Elem(self.field, self.field.mul(self.data, d))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        d = self._coerce(other)
-        return Elem(self.field, self.field.div(self.data, d))
-
-    def __rtruediv__(self, other):
-        d = self._coerce(other)
-        return Elem(self.field, self.field.div(d, self.data))
-
-    def __pow__(self, n):
-        return Elem(self.field, self.field.pow(self.data, n))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.data == self.field.from_int(other)
-        return (
-            isinstance(other, Elem)
-            and other.field == self.field
-            and other.data == self.data
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.data))
-
-    def is_zero(self):
-        return self.field.is_zero(self.data)
-
-    def __repr__(self):
-        return self.field.to_str(self.data)

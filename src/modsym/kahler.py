@@ -312,7 +312,6 @@ def trace_form(L, form):
     y = K.neg(L.minpoly[0])
     dy = differential(K, y)
     xvar = L.var
-    order = {v: i for i, v in enumerate(basis_vars(L))}
     out = DifferentialForm.zero(K, form.degree)
     for m, c in form.coords.items():
         if xvar not in m:
@@ -328,7 +327,6 @@ def trace_form(L, form):
             a = K.neg(a)
         rest_form = DifferentialForm(K, len(rest), {rest: K.one})
         out = out + dy.scale(a).wedge(rest_form)
-    _ = order
     return out
 
 
@@ -336,7 +334,8 @@ class JetElement:
     """(omega, scalar) decomposition of a first-order jet."""
 
     def __init__(self, field, omega, scalar):
-        assert omega.degree == 1
+        if omega.degree != 1:
+            raise IncompatibleTerms(f"jet part must be a 1-form, not a {omega.degree}-form")
         self.field = field
         self.omega = omega
         self.scalar = scalar

@@ -315,6 +315,9 @@ def make_relation(R, base, f, sections, convention=SUM):
     for point, v in divisor_of(R, f).support.items():
         if v == 0:
             continue
+        # check_congruence above gave v_x(f - 1) >= D_total(x) >= 1 on the
+        # support of D_total, so f(x) = 1 there and v_x(f) = 0: a zero or pole
+        # of f never meets the modulus, and this assert cannot fail.
         assert D_total[point] == 0, "zeros/poles of f must avoid the modulus"
         Kx = residue_field(R, point)
         values = []
