@@ -21,7 +21,7 @@ import sys
 from . import factor as _factor
 from .chow import ZeroCycleWithModulus, chow_class, higher_cycle_class, zero_cycle
 from .curve import INF, Divisor
-from .errors import ExponentTooLarge, InvalidInput, ModsymError
+from .errors import DegreeTooLarge, ExponentTooLarge, InvalidInput, ModsymError
 from .fields import FpField, QField, RatFunField, make_field
 from .fixtures import FIXTURES, run_fixtures
 from .kahler import DifferentialForm, dlog
@@ -56,6 +56,12 @@ from .symcalc import SymbolSum, eval_jet, eval_milnor, eval_omega, make_relation
 # cost of everything built on it, grows with n; ``t^1000`` over F7(u)(t)
 # answers in well under a second.
 MAX_EXPONENT = 1000
+
+# Largest degree (see ``_degree``) of a product or power in an element
+# expression, estimated from its operands before it is computed: the sum of
+# their degrees, or |n| times that of the base.  It admits ``t^1000``, and
+# ``(t+u)^500`` over F7(u)(t) answers in a few seconds.
+MAX_DEGREE = 1000
 
 
 def parse_field(spec):
@@ -98,6 +104,20 @@ def _gen_of(R, name):
                 g = upper.lift(g)
             return g
     raise ValueError(f"unknown variable {name!r}")
+
+
+def _degree(F, a):
+    """Sum over the rational-function levels of the largest numerator or
+    denominator degree at that level: a bound on the total degree of ``a``."""
+    if not isinstance(F, RatFunField):
+        return 0
+    num, den = a
+    return max(len(num), len(den)) - 1 + max(_degree(F.below, c) for c in num + den)
+
+
+def _check_degree(d):
+    if d > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {d} exceeds {MAX_DEGREE}")
 
 
 class _ExprParser:
@@ -144,6 +164,7 @@ class _ExprParser:
             op = self.t[self.i]
             self.i += 1
             w = self.factor()
+            _check_degree(_degree(R, v) + _degree(R, w))
             v = R.mul(v, w) if op == "*" else R.div(v, w)
         return v
 
@@ -163,6 +184,7 @@ class _ExprParser:
             n = int(self.t[j : self.i])
             if abs(n) > MAX_EXPONENT:
                 raise ExponentTooLarge(f"|exponent| {abs(n)} exceeds {MAX_EXPONENT}")
+            _check_degree(abs(n) * _degree(R, v))
             v = R.pow(v, n)
         return v
 

@@ -31,6 +31,10 @@ class ExponentTooLarge(InvalidInput):
     name = "ExponentTooLarge"
 
 
+class DegreeTooLarge(InvalidInput):
+    name = "DegreeTooLarge"
+
+
 class ReduciblePolynomial(ModsymError):
     name = "ReduciblePolynomial"
 

@@ -13,12 +13,20 @@ equality thanks to canonical normal forms:
 
 The public entry point mirroring the CLI descriptor grammar is
 :func:`make_field`.
+
+Polynomials are coefficient tuples, low degree first, handled by the ``p*``
+functions.  When the coefficient field is exactly ``FpField`` or
+``QField``, the hot kernels and ``ExtField.mul`` take a fast path on plain
+ints or Fractions with the same results; the choice is by exact type, so a
+field of a subclass of either runs the generic per-element loops, which the
+tests use as the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (
     CharacteristicTooLarge,
@@ -187,6 +195,9 @@ class QField(Field):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a):
+        return not a
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionInField("inverse of 0 in Q")
@@ -240,6 +251,9 @@ class FpField(Field):
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def is_zero(self, a):
+        return not a
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionInField(f"inverse of 0 in F{self.p}")
@@ -273,14 +287,35 @@ class FpField(Field):
 
 
 def ptrim(field, c):
+    """``c`` as a tuple without trailing zero coefficients."""
     c = tuple(c)
     n = len(c)
-    while n and field.is_zero(c[n - 1]):
-        n -= 1
+    if type(field) is FpField or type(field) is QField:
+        while n and not c[n - 1]:
+            n -= 1
+    else:
+        while n and field.is_zero(c[n - 1]):
+            n -= 1
     return c[:n]
 
 
 def padd(field, a, b):
+    """Sum of two polynomials, trimmed."""
+    tf = type(field)
+    if tf is FpField or tf is QField:
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        if tf is FpField:
+            p = field.p
+            for i, y in enumerate(b):
+                out[i] = (out[i] + y) % p
+        else:
+            for i, y in enumerate(b):
+                out[i] += y
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
     n = max(len(a), len(b))
     z = field.zero
     out = [field.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z) for i in range(n)]
@@ -295,9 +330,46 @@ def psub(field, a, b):
     return padd(field, a, pneg(field, b))
 
 
+def _int_conv(a, b):
+    """Product of two int coefficient lists, unreduced."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _clear_denominators(a):
+    """(integer numerators, d) with ``a == [n / d for n in numerators]``."""
+    d = lcm(*(x.denominator for x in a))
+    return [x.numerator * (d // x.denominator) for x in a], d
+
+
 def pmul(field, a, b):
+    """Product of two polynomials, trimmed.
+
+    Over F_p the products are summed as ints and reduced once per
+    coefficient; over Q both factors are cleared to integer numerators over
+    a common denominator, so each output coefficient is one Fraction.
+    """
     if not a or not b:
         return ()
+    tf = type(field)
+    if tf is FpField:
+        p = field.p
+        out = [x % p for x in _int_conv(a, b)]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+    if tf is QField:
+        na, da = _clear_denominators(a)
+        nb, db = _clear_denominators(b)
+        out = _int_conv(na, nb)
+        while out and not out[-1]:
+            out.pop()
+        d, z = da * db, field.zero
+        return tuple(Fraction(x, d) if x else z for x in out)
     z = field.zero
     out = [z] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -313,17 +385,47 @@ def pscale(field, a, c):
 
 
 def pdivmod(field, a, b):
+    """Quotient and remainder of ``a`` by ``b``, both trimmed.
+
+    A monic divisor is never inverted.  Raises ZeroDivisionInField when
+    ``b`` is zero or its last coefficient is.
+    """
     if not b:
         raise ZeroDivisionInField("polynomial division by zero")
     a = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = field.inv(b[-1])
-    while len(a) >= len(b):
+    lb = len(b)
+    q = [field.zero] * max(0, len(a) - lb + 1)
+    lead = b[-1]
+    monic = field.is_one(lead)
+    inv_lead = None if monic else field.inv(lead)
+    tf = type(field)
+    if tf is FpField or tf is QField:
+        p = field.p if tf is FpField else None
+        while len(a) >= lb:
+            c = a.pop()
+            if not c:
+                continue
+            if not monic:
+                c = c * inv_lead if p is None else c * inv_lead % p
+            k = len(a) - lb + 1
+            q[k] = c
+            if p is None:
+                for i in range(lb - 1):
+                    a[k + i] -= c * b[i]
+            else:
+                for i in range(lb - 1):
+                    a[k + i] = (a[k + i] - c * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+        while q and not q[-1]:
+            q.pop()
+        return tuple(q), tuple(a)
+    while len(a) >= lb:
         if field.is_zero(a[-1]):
             a.pop()
             continue
-        c = field.mul(a[-1], inv_lead)
-        k = len(a) - len(b)
+        c = a[-1] if monic else field.mul(a[-1], inv_lead)
+        k = len(a) - lb
         q[k] = c
         for i, y in enumerate(b):
             a[k + i] = field.sub(a[k + i], field.mul(c, y))
@@ -336,16 +438,48 @@ def pmod(field, a, b):
 
 
 def pgcd(field, a, b):
+    """Monic gcd of two polynomials (``()`` when both are zero).
+
+    Over F_p this is one Euclid loop on int lists that reduces the
+    remainder in place and keeps no quotient.
+    """
     # fraction-field coefficients: Euclid's algorithm swells intermediate
     # denominators badly, so route through a primitive pseudo-remainder
     # sequence on the cleared integral model instead
     if isinstance(field, RatFunField) and (len(a) > 2 or len(b) > 2):
         return _pgcd_prs(field, a, b)
+    if type(field) is FpField:
+        return _pgcd_fp(field.p, a, b)
     while b:
         a, b = b, pmod(field, a, b)
     if a:
         a = pscale(field, a, field.inv(a[-1]))
     return a
+
+
+def _pgcd_fp(p, a, b):
+    a, b = list(a), list(b)
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        lb = len(b)
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= lb:
+            c = a.pop()
+            if c:
+                c = c * inv % p
+                k = len(a) - lb + 1
+                for i in range(lb - 1):
+                    a[k + i] = (a[k + i] - c * b[i]) % p
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    if a and a[-1] != 1:
+        inv = pow(a[-1], p - 2, p)
+        a = [x * inv % p for x in a]
+    return tuple(a)
 
 
 def _pgcd_prs(K, a, b):
@@ -656,6 +790,10 @@ class ExtField(Field):
         self.one = tuple(
             below.one if i == 0 else below.zero for i in range(self.deg)
         )
+        if type(below) is QField:
+            # minpoly * den as ints, for reducing cleared products in mul
+            m, den = _clear_denominators(minpoly)
+            self._int_minpoly = (m, den)
 
     def __eq__(self, other):
         return (
@@ -686,7 +824,45 @@ class ExtField(Field):
         return tuple(self.below.neg(x) for x in a)
 
     def mul(self, a, b):
+        """Product of two elements.
+
+        Over F_p or Q: a schoolbook product on ints, reduced in place by the
+        monic minimal polynomial (over Q by its integer form, scaling the
+        common denominator), with one conversion per output coefficient.
+        """
         K = self.below
+        tk = type(K)
+        if (tk is FpField or tk is QField) and (not a or not b):
+            return self.zero
+        if tk is FpField:
+            p, m, d = K.p, self.minpoly, self.deg
+            out = _int_conv(a, b)
+            out += [0] * (d - len(out))
+            while len(out) > d:
+                c = out.pop() % p
+                if c:
+                    k = len(out) - d
+                    for i in range(d):
+                        out[k + i] -= c * m[i]
+            return tuple(x % p for x in out)
+        if tk is QField:
+            (m, dm), d = self._int_minpoly, self.deg
+            na, da = _clear_denominators(a)
+            nb, db = _clear_denominators(b)
+            out = _int_conv(na, nb)
+            out += [0] * (d - len(out))
+            den = da * db
+            while len(out) > d:
+                c = out.pop()
+                if c:
+                    if dm != 1:
+                        out = [x * dm for x in out]
+                        den *= dm
+                    k = len(out) - d
+                    for i in range(d):
+                        out[k + i] -= c * m[i]
+            z = K.zero
+            return tuple(Fraction(x, den) if x else z for x in out)
         return self.make(pmul(K, ptrim(K, a), ptrim(K, b)))
 
     def inv(self, a):

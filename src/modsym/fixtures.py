@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .curve import INF, Divisor
 from .errors import ConductorCertificateFailure
-from .fields import ExtField, FpField, QField, RatFunField
+from .fields import ExtField, FpField, QField, RatFunField, pmul
 from .kahler import jet_from_tensor, trace_jet
 from .symcalc import (
     SUM,
@@ -26,18 +26,10 @@ def _poly_from_roots(K, roots, extra=()):
     """Monic polynomial with the given roots times the extra monic factors."""
     p = (K.one,)
     for r in roots:
-        p = _pmul(K, p, (K.neg(r), K.one))
+        p = pmul(K, p, (K.neg(r), K.one))
     for q in extra:
-        p = _pmul(K, p, q)
+        p = pmul(K, p, q)
     return p
-
-
-def _pmul(K, a, b):
-    out = [K.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ a tensor a(x)b mapping to (a db, ab); the alternative decomposition
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import IncompatibleTerms, NotAlgebraicStep, UnsupportedField, ZeroArgument
 from .fields import (
+    CACHE_SIZE,
     ExtField,
     RatFunField,
     pderiv,
@@ -23,14 +26,12 @@ from .fields import (
     trace_norm,
 )
 
-_BASIS_CACHE = {}
-_ELIM_CACHE = {}
 
-
+# Both per-field memos are bounded: every residue field of a closed point is
+# a field of its own, so an unbounded one grows with every point seen.
+@lru_cache(maxsize=CACHE_SIZE)
 def basis_vars(K):
     """Ordered basis {d(v)} of Omega^1_K, named by tower variables."""
-    if K in _BASIS_CACHE:
-        return _BASIS_CACHE[K]
     if K.below is None:
         out = ()
     elif isinstance(K, RatFunField):
@@ -40,14 +41,12 @@ def basis_vars(K):
     else:  # inseparable root x^p = y: dy = 0 eliminates a variable, dx enters
         v0, _ = _elim_data(K)
         out = tuple(v for v in basis_vars(K.below) if v != v0) + (K.var,)
-    _BASIS_CACHE[K] = out
     return out
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _elim_data(K):
     """(eliminated variable, lifted coefficients of dy) for an insep step."""
-    if K in _ELIM_CACHE:
-        return _ELIM_CACHE[K]
     B = K.below
     y = B.neg(K.minpoly[0])
     dy = _d(B, y)
@@ -60,7 +59,6 @@ def _elim_data(K):
     if v0 is None:
         raise UnsupportedField("dy = 0: cannot present Omega of this tower freely")
     lifted = {v: K.lift(w) for v, w in dy.items() if not B.is_zero(w)}
-    _ELIM_CACHE[K] = (v0, lifted)
     return v0, lifted
 
 

@@ -159,11 +159,6 @@ class Laurent:
         prec = None if (self.exact and len(u) == 1) else prec_target
         return Laurent(F, self.var, -v, out, prec)
 
-    def truncate(self, prec):
-        if self.exact or self.prec > prec:
-            return Laurent(self.F, self.var, self.lead, self.coeffs, prec)
-        return self
-
     def __repr__(self):
         bits = []
         for i, c in enumerate(self.coeffs):

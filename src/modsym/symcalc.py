@@ -17,12 +17,11 @@ isomorphism theorems hold (guarded: jets need char != 2, forms char not in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import factor as _factor
 from .curve import (
     INF,
-    Divisor,
     check_congruence,
     combine_divisors,
     divisor_of,
@@ -42,27 +41,13 @@ from .fields import ExtField, field_to_descriptor, make_field, trace_norm
 from .kahler import (
     DifferentialForm,
     JetElement,
-    differential,
     dlog_wedge,
     jet_from_tensor,
     trace_form,
     trace_jet,
 )
 from .localfield import Laurent, conductor_ga, conductor_gm, conductor_omega, expand_at, localize_form
-
-SUM = "sum"
-MAX = "max"
-
-
-def canonical_modulus(tag, R):
-    """The modulus of the representing pair on P^1: 2(inf) for Ga, (0)+(inf) for Gm."""
-    K = R.below
-    zero_pt = (K.zero, K.one)
-    if tag == "Ga":
-        return Divisor(R, {INF: 2})
-    if tag == "Gm":
-        return Divisor(R, {zero_pt: 1, INF: 1})
-    raise NoEvaluationMap(f"no canonical modulus pair for tag {tag!r}")
+from .modpairs import MAX, SUM
 
 
 def _check_section(tag, field, value):
@@ -94,7 +79,7 @@ class SymbolSum:
                 continue
             k = t.key()
             if k in merged:
-                merged[k] = merged[k]._replace_coeff(merged[k].coeff + t.coeff)
+                merged[k] = replace(merged[k], coeff=merged[k].coeff + t.coeff)
             else:
                 merged[k] = t
                 order.append(k)
@@ -109,7 +94,7 @@ class SymbolSum:
         return SymbolSum(
             self.base,
             self.convention,
-            tuple(t._replace_coeff(-t.coeff) for t in self.terms),
+            tuple(replace(t, coeff=-t.coeff) for t in self.terms),
         )
 
     def __sub__(self, other):
@@ -166,13 +151,6 @@ def _term(coeff, field, tags, values):
 
 def symbol(base, coeff, field, tags, values, convention=SUM):
     return SymbolSum(base, convention, [_term(coeff, field, tags, values)])
-
-
-def _replace_coeff(self, c):
-    return SymbolTerm(c, self.field, self.tags, self.values)
-
-
-SymbolTerm._replace_coeff = _replace_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +521,6 @@ def eval_milnor(s, valuation_point=None, allow_out_of_hypothesis=True):
 # ---------------------------------------------------------------------------
 # twists and conductor bounds
 # ---------------------------------------------------------------------------
-
-
-def twist_differential(K, a):
-    """Ga -> Ga<1> realized in Omega^1: the absolute differential."""
-    return differential(K, a)
 
 
 def twist_chain(K, a, n):

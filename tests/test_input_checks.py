@@ -1,5 +1,5 @@
-"""Checks that survive ``python -O``: the CLI exponent limit and the
-invariants of zero-cycle sums and jets, raised as ``InvalidInput`` errors."""
+"""Checks that survive ``python -O``: the CLI exponent and degree limits and
+the invariants of zero-cycle sums and jets, raised as ``InvalidInput`` errors."""
 
 import json
 import os
@@ -12,7 +12,7 @@ import pytest
 
 from modsym import cli
 from modsym.chow import GA, GM, zero_cycle
-from modsym.errors import ExponentTooLarge, IncompatibleTerms
+from modsym.errors import DegreeTooLarge, ExponentTooLarge, IncompatibleTerms
 from modsym.fields import FpField, QField, RatFunField
 from modsym.kahler import DifferentialForm, JetElement, dlog
 
@@ -50,6 +50,42 @@ class TestExponentLimit:
         R = cli.parse_field("F7(t)")
         t = R.from_poly((0, 1))
         assert cli._ExprParser(R, f"t^{n}").parse() == R.pow(t, n)
+
+
+class TestDegreeLimit:
+    N = cli.MAX_DEGREE // 2  # (t+u)^N has degree N in t plus N in u
+
+    def test_largest_dense_power_answers(self):
+        t0 = time.perf_counter()
+        proc = _cli_in_fresh_process(
+            "residue", "--field", "F7(u)(t)", "--a", "u", "--f", f"(t+u)^{self.N}", "--point", "t",
+            timeout=10,
+        )
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"residue": []}
+
+    def test_next_dense_power_exits_1_quickly(self):
+        t0 = time.perf_counter()
+        proc = _cli_in_fresh_process(
+            "residue", "--field", "F7(u)(t)", "--a", "u", "--f", f"(t+u)^{self.N + 1}", "--point", "t",
+            timeout=5,
+        )
+        assert time.perf_counter() - t0 < 5
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"] == "DegreeTooLarge"
+
+    @pytest.mark.parametrize("op", ["*", "/"])
+    def test_products_are_bounded(self, op):
+        R = cli.parse_field("F7(u)(t)")
+        cli._ExprParser(R, f"t^{self.N}{op}u^{self.N}").parse()
+        with pytest.raises(DegreeTooLarge):
+            cli._ExprParser(R, f"t^{self.N}{op}u^{self.N + 1}").parse()
+
+    def test_degree_sums_the_levels(self):
+        R = cli.parse_field("F7(u)(t)")
+        v = cli._ExprParser(R, "(t^2+u^3)/(t-u^4)").parse()
+        assert cli._degree(R, v) == 2 + 4
 
 
 class TestZeroCycleSum:

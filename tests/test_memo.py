@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modsym import cli
+from modsym import cli, kahler
 from modsym import factor as factor_mod
 from modsym.factor import _factor_cached, factor
 from modsym.fields import (
@@ -67,6 +67,12 @@ def _clear_caches():
 def test_bound_is_the_module_constant():
     assert _factor_cached.cache_info().maxsize == CACHE_SIZE
     assert _trace_norm.cache_info().maxsize == CACHE_SIZE
+
+
+def test_kahler_memos_are_bounded():
+    # one entry per residue field: unbounded, they grow with every point seen
+    assert kahler.basis_vars.cache_info().maxsize == CACHE_SIZE
+    assert kahler._elim_data.cache_info().maxsize == CACHE_SIZE
 
 
 @given(fields, seeds)
