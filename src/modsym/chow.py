@@ -22,9 +22,9 @@ from .errors import (
     PointOnDivisor,
     ZeroFirstCoordinate,
 )
-from .fields import field_to_descriptor, trace_norm
-from .kahler import DifferentialForm, dlog_wedge
-from .modpairs import SUM, required_modulus
+from .fields import field_to_descriptor, norm_to, trace_to
+from .kahler import dlog_wedge
+from .modpairs import SUM, pair_ga, pair_gm, product_pair, required_modulus
 from .symcalc import SymbolSum, SymbolTerm, eval_jet, eval_milnor, eval_omega
 
 GA = "GaM"
@@ -130,14 +130,10 @@ def _j_component(base, tag, pieces):
     else:
         acc = base.one
     for L, v, c in pieces:
-        f = L
-        while f != base:
-            v = trace_norm(f, v)[0 if tag == GA else 1]
-            f = f.below
         if tag == GA:
-            acc = base.add(acc, base.mul(base.from_int(c), v))
+            acc = base.add(acc, base.mul(base.from_int(c), trace_to(L, base, v)))
         else:
-            acc = base.mul(acc, base.pow(v, c))
+            acc = base.mul(acc, base.pow(norm_to(L, base, v), c))
     return acc
 
 
@@ -169,8 +165,6 @@ def rat_equiv_zero(R, base, gs, f, ambient_tags, conv=SUM, allow_out_of_hypothes
     The minimal valid modulus D on the parametrizing line is the pullback of
     the ambient modulus along (g1, g2); f must be congruent to 1 modulo D.
     """
-    from .modpairs import ModulusPair, pair_ga, pair_gm, product_pair
-
     pairs = {GA: pair_ga(R), GM: pair_gm(R)}
     target = product_pair(pairs[ambient_tags[0]], pairs[ambient_tags[1]], conv)
     D = required_modulus(R, tuple(gs), target)

@@ -3,8 +3,9 @@
 Field towers are written as a base followed by rational-function steps, e.g.
 ``Q(t)`` or ``F7(u)(t)``; elements use an ASCII grammar with ``+ - * / ^``
 and parentheses, e.g. ``(t^2-1)/(t^2-4)``.  JSON is the canonical machine
-interface; expressions are sugar.  Output is deterministic for a fixed seed
-(``--seed`` or the MODSYM_SEED environment variable).
+interface; expressions are sugar.  Output is byte-identical for every seed
+(``--seed`` or the MODSYM_SEED environment variable), which steers only the
+randomized factor splitters.
 
 Exit codes: 0 success, 1 input/validation error (an ``InvalidInput`` error
 carries its library name in the JSON body), 2 mathematical precondition
@@ -20,7 +21,7 @@ import sys
 
 from . import factor as _factor
 from .chow import ZeroCycleWithModulus, chow_class, higher_cycle_class, zero_cycle
-from .curve import INF, Divisor
+from .curve import INF, Divisor, valuation_at
 from .errors import DegreeTooLarge, ExponentTooLarge, InvalidInput, ModsymError
 from .fields import FpField, QField, RatFunField, make_field
 from .fixtures import FIXTURES, run_fixtures
@@ -33,7 +34,7 @@ from .localfield import (
     expand_at,
     localize_form,
     reciprocity_sum,
-    residue_form,
+    residue_pairing,
 )
 from .modpairs import (
     ValuationProbe,
@@ -90,19 +91,11 @@ def parse_field(spec):
 
 def _gen_of(R, name):
     """The tower variable ``name`` as an element of R."""
-    chain = []
-    f = R
-    while f is not None:
-        chain.append(f)
-        f = getattr(f, "below", None)
-    for level in chain:
-        if getattr(level, "var", None) == name:
+    for level in R.chain():
+        if level.var == name:
             if not isinstance(level, RatFunField):
                 raise ValueError(f"{name!r} is not a rational-function variable")
-            g = level.from_poly((level.below.zero, level.below.one))
-            for upper in reversed(chain[: chain.index(level)]):
-                g = upper.lift(g)
-            return g
+            return R.lift_from(level, level.from_poly((level.below.zero, level.below.one)))
     raise ValueError(f"unknown variable {name!r}")
 
 
@@ -267,8 +260,6 @@ def _cmd_residue(args):
     form = _build_form(R, args.a, args.dlog)
     f = parse_elem(R, args.f)
     point = parse_point(R, args.point)
-    from .localfield import residue_pairing
-
     res = residue_pairing(R, form, f, point, prec=args.precision)
     return {"residue": res.to_json()}
 
@@ -367,8 +358,6 @@ def _cmd_probe(args):
     t1_text, t2_text = text.split(",")
     Q = QField()
     S = RatFunField(Q, "s")
-    from .curve import valuation_at
-
     vals = []
     for part in (t1_text, t2_text):
         v = parse_elem(S, part)

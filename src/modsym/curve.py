@@ -15,6 +15,7 @@ from .fields import (
     ExtField,
     pdivmod,
     peval,
+    pmod,
     pmonic,
     ptrim,
 )
@@ -61,14 +62,7 @@ def evaluate_at(R, f, point):
         red = lambda poly: peval(K, poly, theta)
     else:
         theta = Kx.gen()
-
-        def red(poly):
-            r = pdivmod(K, poly, point)[1]
-            acc = Kx.zero
-            for c in reversed(r):
-                acc = Kx.add(Kx.mul(acc, theta), Kx.lift(c))
-            return acc
-
+        red = lambda poly: peval(Kx, tuple(map(Kx.lift, pmod(K, poly, point))), theta)
     d = red(den)
     if Kx.is_zero(d):
         return None

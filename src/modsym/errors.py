@@ -1,111 +1,112 @@
 """Exception types shared by all modsym modules.
 
-Every mathematical precondition failure raises a subclass of ModsymError
-carrying a stable ``name`` used by the CLI for error reporting.  Subclasses
+Every mathematical precondition failure raises a subclass of ModsymError;
+the CLI reports the class name (``type(e).__name__``) in its JSON error
+body, so renaming a class changes the CLI output.  Subclasses
 of InvalidInput mark input that is malformed rather than mathematically out
 of reach; the CLI exits 1 for them and 2 for the rest.
 """
 
 
 class ModsymError(Exception):
-    name = "ModsymError"
+    pass
 
 
 class InvalidInput(ModsymError):
-    name = "InvalidInput"
+    pass
 
 
 class NonPrimeCharacteristic(InvalidInput):
-    name = "NonPrimeCharacteristic"
+    pass
 
 
 class CharacteristicTooLarge(InvalidInput):
-    name = "CharacteristicTooLarge"
+    pass
 
 
 class IncompatibleTerms(InvalidInput):
-    name = "IncompatibleTerms"
+    pass
 
 
 class ExponentTooLarge(InvalidInput):
-    name = "ExponentTooLarge"
+    pass
 
 
 class DegreeTooLarge(InvalidInput):
-    name = "DegreeTooLarge"
+    pass
 
 
 class ReduciblePolynomial(ModsymError):
-    name = "ReduciblePolynomial"
+    pass
 
 
 class PthPowerRoot(ModsymError):
-    name = "PthPowerRoot"
+    pass
 
 
 class UnsupportedField(ModsymError):
-    name = "UnsupportedField"
+    pass
 
 
 class NotAlgebraicStep(ModsymError):
-    name = "NotAlgebraicStep"
+    pass
 
 
 class ZeroFunction(ModsymError):
-    name = "ZeroFunction"
+    pass
 
 
 class ZeroArgument(ModsymError):
-    name = "ZeroArgument"
+    pass
 
 
 class InseparableResiduePoint(ModsymError):
-    name = "InseparableResiduePoint"
+    pass
 
 
 class PrecisionOverflow(ModsymError):
-    name = "PrecisionOverflow"
+    pass
 
 
 class InsufficientPrecision(ModsymError):
-    name = "InsufficientPrecision"
+    pass
 
 
 class CongruenceFailure(ModsymError):
-    name = "CongruenceFailure"
+    pass
 
 
 class ConductorCertificateFailure(ModsymError):
-    name = "ConductorCertificateFailure"
+    pass
 
 
 class NoEvaluationMap(ModsymError):
-    name = "NoEvaluationMap"
+    pass
 
 
 class CharacteristicUnsupported(ModsymError):
-    name = "CharacteristicUnsupported"
+    pass
 
 
 class PointOnDivisor(ModsymError):
-    name = "PointOnDivisor"
+    pass
 
 
 class ZeroFirstCoordinate(ModsymError):
-    name = "ZeroFirstCoordinate"
+    pass
 
 
 class AdmissibilityFailure(ModsymError):
-    name = "AdmissibilityFailure"
+    pass
 
 
 class InfiniteValuation(ModsymError):
-    name = "InfiniteValuation"
+    pass
 
 
 class DegenerateMap(ModsymError):
-    name = "DegenerateMap"
+    pass
 
 
 class ZeroDivisionInField(ModsymError):
-    name = "ZeroDivisionInField"
+    pass

@@ -46,11 +46,12 @@ from .fields import (
     QField,
     RatFunField,
     padd,
-    pconst,
+    pcompose,
     pderiv,
     pdivmod,
     peval,
     pgcd,
+    pinv_series,
     pmod,
     pmonic,
     pmul,
@@ -60,7 +61,11 @@ from .fields import (
     psub,
     ptrim,
     pxgcd,
+    _clear_denominators,
+    _clear_ratfun,
+    _int_conv,
     _is_prime,
+    _primitive,
     _resultant,
 )
 
@@ -82,7 +87,6 @@ def elems(field):
         return
     if isinstance(field, ExtField):
         below = list(elems(field.below))
-        idx = [0] * field.deg
 
         def rec(i):
             if i == field.deg:
@@ -189,14 +193,7 @@ class _SeriesRing(Field):
         F = self.F
         if not a or F.is_zero(a[0]):
             raise ZeroDivisionError("series is not a unit")
-        b0 = F.inv(a[0])
-        out = [b0]
-        for k in range(1, self.B):
-            s = F.zero
-            for i in range(1, min(k, len(a) - 1) + 1):
-                s = F.add(s, F.mul(a[i], out[k - i]))
-            out.append(F.neg(F.mul(b0, s)))
-        return ptrim(F, out)
+        return ptrim(F, pinv_series(F, a, self.B))
 
     def from_int(self, n):
         c = self.F.from_int(n)
@@ -233,7 +230,7 @@ class _PadicRing:
 
     def residual(self, fm, G, H):
         m = self.modulus
-        return [(a - b) % m for a, b in zip_longest(fm, _zmul(G, H), fillvalue=0)]
+        return [(a - b) % m for a, b in zip_longest(fm, _int_conv(G, H), fillvalue=0)]
 
     def digit(self, e, k):
         p = self.F.p
@@ -246,18 +243,6 @@ class _PadicRing:
         for i, c in enumerate(r):
             out[i] += c * pk
         return out
-
-
-def _zmul(a, b):
-    """Product of int-list polynomials."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _zquo(a, b):
@@ -338,10 +323,7 @@ def _q_factor(field, f):
     p, lifted to p^B past the Mignotte bound, and recombined by subsets;
     every factor is certified by exact division over Z.
     """
-    den = 1
-    for c in f:
-        den = den * c.denominator // gcd(den, c.denominator)
-    F = [int(c * den) for c in f]
+    F, _ = _clear_denominators(f)
     content = gcd(*F)
     F = [c // content for c in F]
     lc = F[-1]
@@ -375,7 +357,7 @@ def _q_factor(field, f):
         nonlocal F
         cand = [F[-1]]
         for i in S:
-            cand = [c % m for c in _zmul(cand, lifted[i])]
+            cand = [c % m for c in _int_conv(cand, lifted[i])]
         cand = [c - m if 2 * c > m else c for c in cand]
         content = gcd(*cand)
         cand = [c // content for c in cand]
@@ -395,15 +377,6 @@ def _q_factor(field, f):
 # ---------------------------------------------------------------------------
 # bivariate: evaluation, Hensel lifting, recombination over Q(u) and F_q(u)
 # ---------------------------------------------------------------------------
-
-
-def _taylor_shift(F, poly, c):
-    """poly(c + w) as a polynomial in w."""
-    lin = ptrim(F, (c, F.one))
-    out = ()
-    for coeff in reversed(poly):
-        out = padd(F, pmul(F, out, lin), pconst(F, coeff))
-    return out
 
 
 def _find_irreducible(F, k, rng):
@@ -431,18 +404,7 @@ def _ratfun_factor(K, f):
     an extension F_{q^k}; candidate factors are projected back.
     """
     F = K.below
-
-    den = (F.one,)
-    for c in f:
-        g = pgcd(F, den, c[1])
-        den = _pquo(F, pmul(F, den, c[1]), g)
-    cu = [_pquo(F, pmul(F, c[0], den), c[1]) for c in f]
-    content = ()
-    for c in cu:
-        content = pgcd(F, content, c)
-    if len(content) > 1:
-        cu = [_pquo(F, c, content) for c in cu]
-
+    cu = _primitive(F, _clear_ratfun(F, f))
     du = max(len(c) - 1 for c in cu if c)
     if du == 0:
         const = ptrim(F, [c[0] if c else F.zero for c in cu])
@@ -476,7 +438,7 @@ def _ratfun_factor(K, f):
             continue
 
         W = _SeriesRing(E, 2 * du + 1)
-        ser = [W._cut(_taylor_shift(E, c, c0)) for c in cu_e]
+        ser = [W._cut(pcompose(E, c, (c0, E.one))) for c in cu_e]
         lead_ser = ser[-1]
         inv_lead = W.inv(lead_ser)
         fm = ptrim(W, [W.mul(s, inv_lead) for s in ser])
@@ -485,7 +447,7 @@ def _ratfun_factor(K, f):
             return [fcur]
         lifted = _lift_tree(W, E, fm, gs)
 
-        neg_c0 = E.neg(c0)
+        back = (E.neg(c0), E.one)
         found = []
 
         def accept(S):
@@ -495,7 +457,7 @@ def _ratfun_factor(K, f):
                 H = pmul(W, H, lifted[i])
             cand_coeffs = []
             for s in ptrim(W, [W.mul(lead_ser, s) for s in H]):
-                down = tuple(proj_e(x) for x in _taylor_shift(E, s, neg_c0))
+                down = tuple(proj_e(x) for x in pcompose(E, s, back))
                 if any(d is None for d in down):
                     return False
                 cand_coeffs.append(K.make(ptrim(F, down), (F.one,)))
@@ -524,12 +486,11 @@ def _ratfun_factor(K, f):
 
 def _shift_candidates(K):
     n = 1
-    gens = []
-    f = K
-    while f is not None:
-        if isinstance(f, RatFunField):
-            gens.append(K.lift_from(f, f.from_poly((f.below.zero, f.below.one))))
-        f = f.below
+    gens = [
+        K.lift_from(f, f.from_poly((f.below.zero, f.below.one)))
+        for f in reversed(K.chain())
+        if isinstance(f, RatFunField)
+    ]
     while True:
         yield K.from_int(n)
         for g in gens:
@@ -537,14 +498,6 @@ def _shift_candidates(K):
         n += 1
         if n > 40:
             raise UnsupportedField("no squarefree norm found")
-
-
-def _compose(field, f, g):
-    """f(g(t)) for coefficient-tuple polynomials."""
-    out = ()
-    for c in reversed(f):
-        out = padd(field, pmul(field, out, g), pconst(field, c))
-    return out
 
 
 def _ext_factor(L, f):
@@ -555,7 +508,7 @@ def _ext_factor(L, f):
 
     for s in _shift_candidates(K):
         # g(t) = f(t + s*x) over L; then treat x as a free variable for Res_x
-        g = _compose(L, f, ptrim(L, (L.make((K.zero, s)), L.one)))
+        g = pcompose(L, f, ptrim(L, (L.make((K.zero, s)), L.one)))
         # transpose into x-major order: coefficient of x^j is a t-poly over K
         g_xmajor = []
         for j in range(L.deg):
@@ -577,7 +530,7 @@ def _ext_factor(L, f):
         back = ptrim(L, (L.make((K.zero, K.neg(s))), L.one))  # t - s*x
         for Ni in sub_factors:
             Ni_L = tuple(L.lift(c) for c in Ni)
-            cand = pgcd(L, f, _compose(L, Ni_L, back))
+            cand = pgcd(L, f, pcompose(L, Ni_L, back))
             if len(cand) > 1:
                 out.append(cand)
         prod = (L.one,)

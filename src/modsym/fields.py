@@ -15,11 +15,12 @@ The public entry point mirroring the CLI descriptor grammar is
 :func:`make_field`.
 
 Polynomials are coefficient tuples, low degree first, handled by the ``p*``
-functions.  When the coefficient field is exactly ``FpField`` or
-``QField``, the hot kernels and ``ExtField.mul`` take a fast path on plain
-ints or Fractions with the same results; the choice is by exact type, so a
-field of a subclass of either runs the generic per-element loops, which the
-tests use as the oracle.
+functions, which include Horner evaluation and composition (``peval``,
+``pcompose``) and the power-series inverse ``pinv_series``.  When the
+coefficient field is exactly ``FpField`` or ``QField``, the hot kernels and
+``ExtField.mul`` take a fast path on plain ints or Fractions with the same
+results; the choice is by exact type, so a field of a subclass of either
+runs the generic per-element loops, which the tests use as the oracle.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ class FpField(Field):
 
 
 # ---------------------------------------------------------------------------
-# raw coefficient-tuple polynomial helpers (shared with poly.Poly)
+# raw coefficient-tuple polynomial helpers
 # ---------------------------------------------------------------------------
 
 
@@ -331,7 +332,9 @@ def psub(field, a, b):
 
 
 def _int_conv(a, b):
-    """Product of two int coefficient lists, unreduced."""
+    """Product of two int coefficient lists, unreduced; ``[]`` if either is empty."""
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -484,35 +487,36 @@ def _pgcd_fp(p, a, b):
 
 def _pgcd_prs(K, a, b):
     F = K.below
-
-    def clear(poly):
-        den = (F.one,)
-        for _, d in poly:
-            g = pgcd(F, den, d)
-            den = pdivmod(F, pmul(F, den, d), g)[0]
-        out = []
-        for n, d in poly:
-            q = pdivmod(F, den, d)[0]
-            out.append(pmul(F, n, q))
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    def primitive(P):
-        g = ()
-        for c in P:
-            g = pgcd(F, g, c)
-        if len(g) > 1:
-            P = [pdivmod(F, c, g)[0] for c in P]
-        return P
-
-    A, B = primitive(clear(a)), primitive(clear(b))
+    A, B = _primitive(F, _clear_ratfun(F, a)), _primitive(F, _clear_ratfun(F, b))
     if len(A) < len(B):
         A, B = B, A
     while B:
         R = _prem(F, A, B)
-        A, B = B, primitive(R)
+        A, B = B, _primitive(F, R)
     return pmonic(K, tuple(K.make(c, (F.one,)) for c in A))
+
+
+def _clear_ratfun(F, poly):
+    """A polynomial over F(u) times the lcm of its coefficient denominators:
+    the coefficient list of an associate over F[u], trailing zeros dropped."""
+    den = (F.one,)
+    for _, d in poly:
+        g = pgcd(F, den, d)
+        den = pdivmod(F, pmul(F, den, d), g)[0]
+    out = [pmul(F, n, pdivmod(F, den, d)[0]) for n, d in poly]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _primitive(F, P):
+    """A polynomial over F[u] divided by the gcd of its coefficients."""
+    g = ()
+    for c in P:
+        g = pgcd(F, g, c)
+    if len(g) > 1:
+        P = [pdivmod(F, c, g)[0] for c in P]
+    return P
 
 
 def _prem(F, A, B):
@@ -558,10 +562,33 @@ def pderiv(field, a):
 
 
 def peval(field, a, x):
+    """``a(x)`` by Horner's rule."""
     acc = field.zero
     for c in reversed(a):
         acc = field.add(field.mul(acc, x), c)
     return acc
+
+
+def pcompose(field, f, g):
+    """``f(g)`` by Horner's rule; ``pcompose(field, f, (c, 1))`` is the Taylor
+    shift ``f(c + s)``."""
+    out = ()
+    for c in reversed(f):
+        out = padd(field, pmul(field, out, g), pconst(field, c))
+    return out
+
+
+def pinv_series(field, a, n):
+    """The first ``n >= 1`` coefficients of the power series ``1/a``, as a
+    list; ``a[0]`` must be invertible."""
+    b0 = field.inv(a[0])
+    out = [b0]
+    for k in range(1, n):
+        s = field.zero
+        for i in range(1, min(k, len(a) - 1) + 1):
+            s = field.add(s, field.mul(a[i], out[k - i]))
+        out.append(field.neg(field.mul(b0, s)))
+    return out
 
 
 def pconst(field, c):

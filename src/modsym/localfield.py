@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .curve import INF, residue_coordinate, residue_field
+from .curve import INF, residue_field
 from .errors import (
     InseparableResiduePoint,
     InsufficientPrecision,
     ZeroDivisionInField,
     ZeroFunction,
 )
-from .fields import pderiv, ptrim, trace_norm
-from .kahler import DifferentialForm, basis_vars, differential, dlog
+from . import factor as _factor
+from .fields import pcompose, pderiv, pinv_series, trace_norm
+from .kahler import DifferentialForm, dlog
 
 _DEFAULT_PREC = 16
 
@@ -87,16 +88,8 @@ class Laurent:
         hi = max(self.lead + len(self.coeffs), other.lead + len(other.coeffs))
         if prec is not None:
             hi = min(hi, prec) if hi > prec else hi
-        out = [
-            F.add(self.coeff_raw(e), other.coeff_raw(e)) for e in range(lo, hi)
-        ]
+        out = [F.add(self.coeff(e), other.coeff(e)) for e in range(lo, hi)]
         return Laurent(F, self.var, lo, out, prec)
-
-    def coeff_raw(self, e):
-        i = e - self.lead
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.F.zero
 
     def __neg__(self):
         return Laurent(
@@ -149,15 +142,8 @@ class Laurent:
         nterms = prec_target + v
         if nterms <= 0:
             return Laurent(F, self.var, -v, [], prec_target)
-        b0 = F.inv(u[0])
-        out = [b0]
-        for k in range(1, nterms):
-            s = F.zero
-            for i in range(1, min(k, len(u) - 1) + 1):
-                s = F.add(s, F.mul(u[i], out[k - i]))
-            out.append(F.neg(F.mul(b0, s)))
         prec = None if (self.exact and len(u) == 1) else prec_target
-        return Laurent(F, self.var, -v, out, prec)
+        return Laurent(F, self.var, -v, pinv_series(F, u, nterms), prec)
 
     def __repr__(self):
         bits = []
@@ -194,17 +180,6 @@ class Laurent:
         )
 
 
-def _taylor(F, poly, c):
-    """poly(c + s) as a coefficient tuple in s over F."""
-    out = ()
-    from .fields import padd, pmul, pconst
-
-    lin = ptrim(F, (c, F.one))
-    for coeff in reversed(poly):
-        out = padd(F, pmul(F, out, lin), pconst(F, coeff))
-    return out
-
-
 def point_is_separable(R, point):
     if point == INF or len(point) == 2:
         return True
@@ -231,8 +206,9 @@ def expand_at(R, f, point, prec=_DEFAULT_PREC):
         else:
             theta = Kx.gen()
             lift = Kx.lift
-        ln = Laurent(Kx, "s", 0, _taylor(Kx, tuple(lift(c) for c in num), theta))
-        ld = Laurent(Kx, "s", 0, _taylor(Kx, tuple(lift(c) for c in den), theta))
+        t = (theta, Kx.one)  # t = theta + s
+        ln = Laurent(Kx, "s", 0, pcompose(Kx, tuple(lift(c) for c in num), t))
+        ld = Laurent(Kx, "s", 0, pcompose(Kx, tuple(lift(c) for c in den), t))
     return ln * ld.inv(prec - ln.valuation())
 
 
@@ -285,8 +261,6 @@ def residue_pairing(R, a_form, f, point, prec=None):
 
 
 def _irregular_points(R, form):
-    from . import factor as _factor
-
     pts = {INF}
     for c in form.coords.values():
         for poly, _ in _factor.factor(R.below, c[1])[1]:
@@ -450,7 +424,6 @@ def localize_form(R, form, point, prec=_DEFAULT_PREC):
             "localized conductor data only at rational points and infinity"
         )
     out = {}
-    svar = "s"
 
     def put(mono, lau):
         if mono in out:
@@ -471,6 +444,5 @@ def localize_form(R, form, point, prec=_DEFAULT_PREC):
             lau = -lau
         if sign < 0:
             lau = -lau
-        key = rest[:0] + (svar,) + rest
-        put(key, lau)
+        put(("s",) + rest, lau)
     return {m: l for m, l in out.items() if not l.is_known_zero()}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .curve import INF, Divisor, divisor_of
 from .errors import DegenerateMap, InfiniteValuation, UnsupportedField
+from .fields import peval
 
 SUM = "sum"
 MAX = "max"
@@ -112,7 +113,6 @@ def probe_multiplicities(probe):
 
 def pullback_divisor(R, g, target_divisor):
     """g^*(N) on the source line for a rational map g of the line."""
-    K = R.below
     out = Divisor(R)
     for y, n in target_divisor.support.items():
         if y == INF:
@@ -123,12 +123,7 @@ def pullback_divisor(R, g, target_divisor):
             out = out + n * Divisor(R, part)
         else:
             # evaluate the point's monic equation on g
-            h = R.zero
-            tpow = R.one
-            gx = g
-            for c in y:
-                h = R.add(h, R.mul(R.lift(c), tpow))
-                tpow = R.mul(tpow, gx)
+            h = peval(R, tuple(map(R.lift, y)), g)
             if R.is_zero(h):
                 raise DegenerateMap("image contained in the target divisor")
             part = {}

@@ -27,6 +27,7 @@ from .curve import (
     divisor_of,
     evaluate_at,
     residue_field,
+    valuation_at,
 )
 from .errors import (
     CharacteristicUnsupported,
@@ -37,10 +38,11 @@ from .errors import (
     UnsupportedField,
     ZeroArgument,
 )
-from .fields import ExtField, field_to_descriptor, make_field, trace_norm
+from .fields import ExtField, field_to_descriptor, make_field, norm_to, trace_norm
 from .kahler import (
     DifferentialForm,
     JetElement,
+    d_form,
     dlog_wedge,
     jet_from_tensor,
     trace_form,
@@ -236,8 +238,6 @@ class RelationInstance:
 def _local_conductor(R, tag, g, point):
     if tag == "Z":
         return 0
-    from .curve import valuation_at
-
     if tag == "Gm":
         return 0 if valuation_at(R, g, point) == 0 else 1
     if tag == "Ga":
@@ -349,8 +349,7 @@ def eval_omega(s, allow_out_of_hypothesis=False):
         form = form.scale(s.base.from_int(term.coeff))
         total = form if total is None else total + form  # IncompatibleTerms on mixed arity
     if total is None:
-        arity = 1
-        return DifferentialForm.zero(s.base, arity - 1)
+        return DifferentialForm.zero(s.base, 0)
     return total
 
 
@@ -384,8 +383,6 @@ def omega_section(base, a, bs):
 
 def _tame_expand(K, pi_point, entries):
     """Multilinear expansion into (coeff, [('pi',) | ('u', unit)]) pieces."""
-    from .curve import valuation_at
-
     pieces = [(1, [])]
     for b in entries:
         e = valuation_at(K, b, pi_point)
@@ -400,9 +397,6 @@ def _tame_expand(K, pi_point, entries):
                 new.append((coeff * e, slots + [("pi",)]))
             if not K.is_one(unit):
                 new.append((coeff, slots + [("u", unit)]))
-            if e == 0 and K.is_one(unit):
-                # slot is exactly 1: the whole symbol dies
-                pass
         pieces = new
     return pieces
 
@@ -442,10 +436,7 @@ def _tame_residue(R, pieces, pi_point):
         resd = []
         ok = True
         for u in rest:
-            if pi_point == INF:
-                val = evaluate_at(R, u, INF)
-            else:
-                val = evaluate_at(R, u, pi_point)
+            val = evaluate_at(R, u, pi_point)
             if val is None:
                 ok = False
                 break
@@ -498,10 +489,7 @@ def eval_milnor(s, valuation_point=None, allow_out_of_hypothesis=True):
         dlog_total = form if dlog_total is None else dlog_total + form
         # norm push: direct for arity one, slot-wise reduction otherwise
         if len(term.values) == 1:
-            v = term.values[0]
-            for step in _trace_chain(L, s.base):
-                v = trace_norm(step, v)[1]
-            norm_pushed.append((term.coeff, [v]))
+            norm_pushed.append((term.coeff, [norm_to(L, s.base, term.values[0])]))
         elif L == s.base:
             norm_pushed.append((term.coeff, list(term.values)))
         else:
@@ -525,8 +513,6 @@ def eval_milnor(s, valuation_point=None, allow_out_of_hypothesis=True):
 
 def twist_chain(K, a, n):
     """Iterate d through Ga<n> = Omega^n; vanishes for n >= 2 (d d = 0)."""
-    from .kahler import d_form
-
     form = DifferentialForm.scalar(K, a)
     for _ in range(n):
         form = d_form(form)
