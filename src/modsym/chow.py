@@ -159,7 +159,7 @@ def chow_class(z, allow_out_of_hypothesis=False):
     return ChowClass(z.tags, degree, j1, j2, pairing, base)
 
 
-def rat_equiv_zero(R, base, gs, f, ambient_tags, conv=SUM, allow_out_of_hypothesis=False):
+def rat_equiv_zero(R, base, gs, f, ambient_tags, conv=SUM):
     """The boundary cycle sum v_x(f) * (g1(x), g2(x)); its class is zero.
 
     The minimal valid modulus D on the parametrizing line is the pullback of

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import factor as _factor
-from .chow import ZeroCycleWithModulus, chow_class, higher_cycle_class, zero_cycle
+from .chow import chow_class, higher_cycle_class, zero_cycle
 from .curve import INF, Divisor, valuation_at
 from .errors import DegreeTooLarge, ExponentTooLarge, InvalidInput, ModsymError
 from .fields import FpField, QField, RatFunField, make_field
@@ -28,13 +28,10 @@ from .fixtures import FIXTURES, run_fixtures
 from .kahler import DifferentialForm, dlog
 from .localfield import (
     Laurent,
-    conductor_ga,
-    conductor_gm,
-    conductor_omega,
-    expand_at,
-    localize_form,
+    form_conductor,
     reciprocity_sum,
     residue_pairing,
+    section_conductor,
 )
 from .modpairs import (
     ValuationProbe,
@@ -207,11 +204,14 @@ class _ExprParser:
 
 
 def parse_elem(R, text):
-    return _ExprParser(R, text).parse()
+    try:
+        return _ExprParser(R, text).parse()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
 
 
 def parse_point(R, text):
-    """``inf`` or a monic polynomial expression in the curve variable."""
+    """``inf`` or a monic irreducible polynomial in the curve variable."""
     text = text.strip()
     if text == "inf":
         return INF
@@ -225,7 +225,10 @@ def parse_point(R, text):
     if not K.is_one(K.div(num[-1], den[0])):
         raise ValueError("point polynomials must be monic")
     inv = K.inv(den[0])
-    return tuple(K.mul(c, inv) for c in num)
+    point = tuple(K.mul(c, inv) for c in num)
+    if len(point) != 2 and not _factor.is_irreducible(K, point):
+        raise ValueError("point polynomials must be irreducible")
+    return point
 
 
 def parse_divisor(R, text):
@@ -260,7 +263,7 @@ def _cmd_residue(args):
     form = _build_form(R, args.a, args.dlog)
     f = parse_elem(R, args.f)
     point = parse_point(R, args.point)
-    res = residue_pairing(R, form, f, point, prec=args.precision)
+    res = residue_pairing(R, form, f, point)
     return {"residue": res.to_json()}
 
 
@@ -268,7 +271,7 @@ def _cmd_reciprocity(args):
     R = parse_field(args.field)
     form = _build_form(R, args.a, args.dlog)
     f = parse_elem(R, args.f)
-    total = reciprocity_sum(R, form, f, prec=args.precision)
+    total = reciprocity_sum(R, form, f)
     if total.degree == 0:
         K = R.below
         val = total.coords.get((), K.zero)
@@ -280,12 +283,12 @@ def _cmd_conductor(args):
     R = parse_field(args.field)
     point = parse_point(R, args.point)
     if args.tag in ("Ga", "Gm"):
-        lau = expand_at(R, parse_elem(R, args.f), point, prec=args.precision or 1)
-        prof = conductor_ga(lau) if args.tag == "Ga" else conductor_gm(lau)
+        prof = section_conductor(R, args.tag, parse_elem(R, args.f), point)
     elif args.tag.startswith("Omega"):
         form = _build_form(R, args.f, args.dlog)
-        local = localize_form(R, form, point, prec=args.precision or 8)
-        prof = conductor_omega(local, form.degree)
+        if args.tag not in ("Omega", f"Omega({form.degree})"):
+            raise ValueError(f"tag {args.tag!r} does not match a form of degree {form.degree}")
+        prof = form_conductor(R, form, point)
     else:
         raise ValueError(f"unknown conductor tag {args.tag!r}")
     return prof.to_json()
@@ -424,7 +427,6 @@ def build_parser():
     )
     p.add_argument("--json", action="store_true", help="compact one-line JSON output")
     p.add_argument("--seed", type=int, default=None, help="deterministic RNG seed")
-    p.add_argument("--precision", type=int, default=None)
     p.add_argument("--convention", choices=["sum", "max"], default="sum")
     p.add_argument(
         "--allow-out-of-hypothesis",

@@ -36,16 +36,6 @@ def residue_field(R, point):
     return ExtField(K, "~" + R.var, point)
 
 
-def residue_coordinate(R, point):
-    """The image of t in the residue field of the point."""
-    K = R.below
-    if point == INF:
-        raise ZeroFunction("t has no finite value at infinity")
-    if len(point) == 2:
-        return K.neg(point[0])  # root of a monic linear polynomial
-    return residue_field(R, point).gen()
-
-
 def evaluate_at(R, f, point):
     """Evaluate f in K(t) at a closed point; None if f has a pole there."""
     K = R.below

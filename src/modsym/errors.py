@@ -64,10 +64,6 @@ class InseparableResiduePoint(ModsymError):
     pass
 
 
-class PrecisionOverflow(ModsymError):
-    pass
-
-
 class InsufficientPrecision(ModsymError):
     pass
 
@@ -93,10 +89,6 @@ class PointOnDivisor(ModsymError):
 
 
 class ZeroFirstCoordinate(ModsymError):
-    pass
-
-
-class AdmissibilityFailure(ModsymError):
     pass
 
 

@@ -57,7 +57,6 @@ from .fields import (
     pmul,
     pneg,
     ppow_mod,
-    pscale,
     psub,
     ptrim,
     pxgcd,

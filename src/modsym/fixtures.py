@@ -11,15 +11,7 @@ from .curve import INF, Divisor
 from .errors import ConductorCertificateFailure
 from .fields import ExtField, FpField, QField, RatFunField, pmul
 from .kahler import jet_from_tensor, trace_jet
-from .symcalc import (
-    SUM,
-    SymbolSum,
-    SymbolTerm,
-    eval_jet,
-    eval_milnor,
-    eval_omega,
-    make_relation,
-)
+from .symcalc import eval_jet, eval_milnor, eval_omega, make_relation
 
 
 def _poly_from_roots(K, roots, extra=()):

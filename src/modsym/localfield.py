@@ -6,24 +6,28 @@ computed in s with ds, which is the convention making the full reciprocity
 sum vanish.  Conductors implement the logarithmic pole filtration for
 Omega^n (with Omega^0 = Ga in characteristic 0) and the Frobenius pole
 filtration for Ga in characteristic p.
+
+No user sets a precision.  A residue reads one coefficient (precision 1,
+or 3 at infinity, where dt = -s^{-2} ds); ``section_conductor`` reads an
+exact valuation and expands only a Ga pole part, to precision 1;
+``form_conductor`` expands each coefficient just past its valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .curve import INF, residue_field
+from .curve import INF, residue_field, valuation_at
 from .errors import (
     InseparableResiduePoint,
     InsufficientPrecision,
+    NoEvaluationMap,
     ZeroDivisionInField,
     ZeroFunction,
 )
 from . import factor as _factor
-from .fields import pcompose, pderiv, pinv_series, trace_norm
+from .fields import pcompose, pderiv, pinv_series, pmul, trace_norm
 from .kahler import DifferentialForm, dlog
-
-_DEFAULT_PREC = 16
 
 
 class Laurent:
@@ -101,27 +105,20 @@ class Laurent:
 
     def __mul__(self, other):
         F = self.F
+        lead = self.lead + other.lead
+        a, b = self.coeffs, other.coeffs
         if self.exact and other.exact:
             prec = None
-            hi = self.lead + other.lead + len(self.coeffs) + len(other.coeffs)
         else:
             p1 = self.prec if self.prec is not None else 10 ** 9
             p2 = other.prec if other.prec is not None else 10 ** 9
             prec = min(self.lead + p2, other.lead + p1)
-            hi = prec
-        lo = self.lead + other.lead
+            # coefficients past the product's precision cannot reach it
+            n = max(0, prec - lead)
+            a, b = a[:n], b[:n]
         if not self.coeffs or not other.coeffs:
             return Laurent(F, self.var, 0, [], prec)
-        out = [F.zero] * max(0, hi - lo)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= len(out):
-                    break
-                out[k] = F.add(out[k], F.mul(a, b))
-        return Laurent(F, self.var, lo, out, prec)
+        return Laurent(F, self.var, lead, pmul(F, a, b), prec)
 
     def scale(self, c):
         return Laurent(
@@ -186,7 +183,7 @@ def point_is_separable(R, point):
     return bool(pderiv(R.below, point))
 
 
-def expand_at(R, f, point, prec=_DEFAULT_PREC):
+def expand_at(R, f, point, prec):
     """Truncated Laurent expansion of f in K(t) at a closed point of P^1."""
     K = R.below
     if not point_is_separable(R, point):
@@ -217,7 +214,7 @@ def expand_at(R, f, point, prec=_DEFAULT_PREC):
 # ---------------------------------------------------------------------------
 
 
-def residue_form(R, form, point, prec=None):
+def residue_form(R, form, point):
     """Res_x of a form over K(t): s^{-1} ds coefficient, traced down to K.
 
     Only monomials containing dt contribute: dt = ds at finite points
@@ -226,10 +223,8 @@ def residue_form(R, form, point, prec=None):
     K = R.below
     tvar = R.var
     Kx = K if point == INF or len(point) == 2 else residue_field(R, point)
-    # only one coefficient of the expansion is read; keep precision minimal
+    # only one coefficient of the expansion is read
     need = 3 if point == INF else 1
-    if prec is not None:
-        need = max(need, prec)
     out = DifferentialForm.zero(K, form.degree - 1)
     for m, c in form.coords.items():
         if tvar not in m:
@@ -253,11 +248,11 @@ def residue_form(R, form, point, prec=None):
     return out
 
 
-def residue_pairing(R, a_form, f, point, prec=None):
+def residue_pairing(R, a_form, f, point):
     """(a, f)_x = Res_x(a dlog f), a local symbol value in Omega^q_K."""
     if R.is_zero(f):
         raise ZeroFunction("dlog of zero in the local symbol")
-    return residue_form(R, a_form.wedge(dlog(R, f)), point, prec=prec)
+    return residue_form(R, a_form.wedge(dlog(R, f)), point)
 
 
 def _irregular_points(R, form):
@@ -268,13 +263,13 @@ def _irregular_points(R, form):
     return pts
 
 
-def reciprocity_sum(R, a_form, f, prec=None):
+def reciprocity_sum(R, a_form, f):
     """Sum of residue pairings over all closed points; contract: zero."""
     omega = a_form.wedge(dlog(R, f))
     K = R.below
     total = DifferentialForm.zero(K, omega.degree - 1)
     for point in _irregular_points(R, omega):
-        total = total + residue_form(R, omega, point, prec=prec)
+        total = total + residue_form(R, omega, point)
     return total
 
 
@@ -362,6 +357,24 @@ def conductor_ga(lau):
     return ConductorProfile("Ga", p, best, witness)
 
 
+def section_conductor(R, tag, g, point):
+    """Exact local conductor of a Ga or Gm section g of K(t) at a point.
+
+    Gm reads the valuation of g.  Ga is 0 where g is regular; at a pole it
+    expands g to precision 1, which holds the whole pole part.
+    """
+    if tag == "Gm":
+        if R.is_zero(g):
+            raise ZeroFunction("Gm sections are nonzero")
+        v = valuation_at(R, g, point)
+        return ConductorProfile("Gm", R.char, 0 if v == 0 else 1, {"valuation": v})
+    if tag == "Ga":
+        if R.is_zero(g) or valuation_at(R, g, point) >= 0:
+            return ConductorProfile("Ga", R.char, 0, {})
+        return conductor_ga(expand_at(R, g, point, prec=1))
+    raise NoEvaluationMap(f"no conductor hook for tag {tag!r}")
+
+
 def conductor_omega(local_form, n):
     """Pole level of a form with Laurent coefficients, log filtration.
 
@@ -400,6 +413,15 @@ def conductor(tag, data):
     raise ValueError(f"unknown conductor tag {tag!r}")
 
 
+def form_conductor(R, form, point):
+    """Exact Omega conductor of a form over K(t) at a rational point or inf."""
+    # a coefficient's valuation is resolved at one past it; at infinity
+    # dt = -s^{-2} ds takes two more
+    need = 1 + max((valuation_at(R, c, point) for c in form.coords.values()), default=0)
+    local = localize_form(R, form, point, prec=max(need, 3 if point == INF else 1))
+    return conductor_omega(local, form.degree)
+
+
 def hi_criterion(tag, samples):
     """True iff every sampled section has conductor at most one."""
     return all(conductor(tag, s).result <= 1 for s in samples)
@@ -410,7 +432,7 @@ def hi_criterion(tag, samples):
 # ---------------------------------------------------------------------------
 
 
-def localize_form(R, form, point, prec=_DEFAULT_PREC):
+def localize_form(R, form, point, prec):
     """Expand a form over K(t) at a point into Laurent-coefficient data.
 
     Returns {monomial: Laurent} where dt has been rewritten in terms of the

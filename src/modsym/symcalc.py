@@ -48,7 +48,7 @@ from .kahler import (
     trace_form,
     trace_jet,
 )
-from .localfield import Laurent, conductor_ga, conductor_gm, conductor_omega, expand_at, localize_form
+from .localfield import Laurent, conductor_omega, localize_form, section_conductor
 from .modpairs import MAX, SUM
 
 
@@ -235,18 +235,6 @@ class RelationInstance:
     symbol_sum: SymbolSum
 
 
-def _local_conductor(R, tag, g, point):
-    if tag == "Z":
-        return 0
-    if tag == "Gm":
-        return 0 if valuation_at(R, g, point) == 0 else 1
-    if tag == "Ga":
-        if R.is_zero(g) or valuation_at(R, g, point) >= 0:
-            return 0
-        return conductor_ga(expand_at(R, g, point, prec=1)).result
-    raise NoEvaluationMap(f"no conductor hook for tag {tag!r}")
-
-
 def _certify_section(R, tag, g, D):
     """Every pole/zero level of g must be covered by its declared divisor."""
     if tag == "Z":
@@ -264,7 +252,7 @@ def _certify_section(R, tag, g, D):
         if len(num) > len(den):
             pole_pts.append(INF)
         for point in set(pole_pts) | set(D.support):
-            c = _local_conductor(R, tag, g, point)
+            c = section_conductor(R, tag, g, point).result
             if c > D[point]:
                 raise ConductorCertificateFailure(
                     f"Ga conductor {c} exceeds declared level {D[point]} at {point!r}"
@@ -472,7 +460,7 @@ def tame_symbol(R, entries, point):
     }
 
 
-def eval_milnor(s, valuation_point=None, allow_out_of_hypothesis=True):
+def eval_milnor(s, valuation_point=None):
     """Milnor data of an all-Gm symbol sum: norm pushes, dlog image, tame data."""
     norm_pushed = []
     dlog_total = None
@@ -531,9 +519,7 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def conductor_subadditivity_check(
-    R, entries, point, convention=SUM, ram_e=1, allow_out_of_hypothesis=True
-):
+def conductor_subadditivity_check(R, entries, point, convention=SUM, ram_e=1):
     """Check c(eval(term)) <= bound on a valuation probe of the t-line.
 
     ``entries`` are (tag, g) with g in R = K(t); the bound is the sum or max
@@ -543,7 +529,7 @@ def conductor_subadditivity_check(
     tags = tuple(tag for tag, _ in entries)
     if not (tags and tags[0] == "Ga" and all(t == "Gm" for t in tags[1:])):
         raise NoEvaluationMap("subadditivity check needs tags (Ga, Gm, ..., Gm)")
-    cs = [_local_conductor(R, tag, g, point) for tag, g in entries]
+    cs = [section_conductor(R, tag, g, point).result for tag, g in entries]
     raw = sum(cs) if convention == SUM else max(cs)
     bound = _ceil_div(raw, ram_e)
 
