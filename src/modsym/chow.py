@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .curve import check_congruence, divisor_of, evaluate_at, residue_field
 from .errors import (
-    CharacteristicUnsupported,
     CongruenceFailure,
     IncompatibleTerms,
     PointOnDivisor,
@@ -25,7 +24,14 @@ from .errors import (
 from .fields import field_to_descriptor, norm_to, trace_to
 from .kahler import dlog_wedge
 from .modpairs import SUM, pair_ga, pair_gm, product_pair, required_modulus
-from .symcalc import SymbolSum, SymbolTerm, eval_jet, eval_milnor, eval_omega
+from .symcalc import (
+    SymbolSum,
+    SymbolTerm,
+    _guard_char,
+    eval_jet,
+    eval_milnor,
+    eval_omega,
+)
 
 GA = "GaM"
 GM = "GmM"
@@ -111,18 +117,6 @@ class ChowClass:
         }
 
 
-def _guard(base, tags, allow_out_of_hypothesis):
-    forbidden = set()
-    if tags == (GA, GM):
-        forbidden = {2, 3, 5}
-    elif tags == (GA, GA):
-        forbidden = {2}
-    if base.char in forbidden and not allow_out_of_hypothesis:
-        raise CharacteristicUnsupported(
-            f"characteristic {base.char} outside the {tags} case hypotheses"
-        )
-
-
 def _j_component(base, tag, pieces):
     """pieces: (L, coord, coeff); additive trace or multiplicative norm."""
     if tag == GA:
@@ -139,7 +133,8 @@ def _j_component(base, tag, pieces):
 
 def chow_class(z, allow_out_of_hypothesis=False):
     base = z.base
-    _guard(base, z.tags, allow_out_of_hypothesis)
+    forbidden = {(GA, GM): {2, 3, 5}, (GA, GA): {2}}.get(z.tags, set())
+    _guard_char(base, forbidden, allow_out_of_hypothesis)
     degree = sum(c * L.absolute_degree_over(base) for L, _, c in z.terms)
     j1 = _j_component(base, z.tags[0], [(L, cs[0], c) for L, cs, c in z.terms])
     j2 = _j_component(base, z.tags[1], [(L, cs[1], c) for L, cs, c in z.terms])
@@ -193,10 +188,7 @@ def higher_cycle_class(K, a, bs, allow_out_of_hypothesis=False):
     Returns the Milnor data of {b_1,...,b_n} together with both form
     normalizations: (1/a) dlog b_1...dlog b_n and a dlog b_1...dlog b_n.
     """
-    if K.char in {2, 3, 5} and not allow_out_of_hypothesis:
-        raise CharacteristicUnsupported(
-            f"characteristic {K.char} outside theorem hypotheses"
-        )
+    _guard_char(K, {2, 3, 5}, allow_out_of_hypothesis)
     ss = SymbolSum(K, SUM, [SymbolTerm(1, K, ("Gm",) * len(bs), tuple(bs))])
     milnor = eval_milnor(ss)
     wedge = dlog_wedge(K, bs)

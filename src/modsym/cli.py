@@ -7,8 +7,8 @@ interface; expressions are sugar.  Output is byte-identical for every seed
 (``--seed`` or the MODSYM_SEED environment variable), which steers only the
 randomized factor splitters.
 
-Exit codes: 0 success, 1 input/validation error (an ``InvalidInput`` error
-carries its library name in the JSON body), 2 mathematical precondition
+Exit codes: 0 success, 1 input, validation or usage error (an ``InvalidInput``
+error carries its library name in the JSON body), 2 mathematical precondition
 failure (the JSON body carries the library error name).
 """
 
@@ -418,8 +418,15 @@ def _cmd_fixtures(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors go through the JSON contract: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="modsym",
         description="Exact symbol calculus on field towers: residues, "
         "conductors, curve relations, modulus-pair products, zero-cycle "
@@ -513,8 +520,12 @@ def _emit(body, compact):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as e:
+        _emit({"error": "validation", "message": str(e)}, "--json" in argv)
+        return 1
     seed = args.seed
     if seed is None and os.environ.get("MODSYM_SEED"):
         try:

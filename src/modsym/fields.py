@@ -591,6 +591,24 @@ def pinv_series(field, a, n):
     return out
 
 
+def pstr(field, a, var):
+    """``a`` printed as a polynomial in ``var``; a coefficient whose own
+    string has ``+``, a space, ``/`` or an inner ``-`` is parenthesized."""
+    parts = []
+    for i, x in enumerate(a):
+        if field.is_zero(x):
+            continue
+        xs = field.to_str(x)
+        if any(ch in xs for ch in "+ /") or "-" in xs[1:]:
+            xs = f"({xs})"
+        if i == 0:
+            parts.append(xs)
+        else:
+            head = "" if xs == "1" else f"{xs}*"
+            parts.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+    return " + ".join(parts) if parts else "0"
+
+
 def pconst(field, c):
     return () if field.is_zero(c) else (c,)
 
@@ -729,27 +747,8 @@ class RatFunField(Field):
                 return self.make(num, den)
 
     def to_str(self, a):
-        def pstr(c):
-            if not c:
-                return "0"
-            parts = []
-            for i, x in enumerate(c):
-                if self.below.is_zero(x):
-                    continue
-                xs = self.below.to_str(x)
-                if "/" in xs or " " in xs or "+" in xs or ("-" in xs[1:]):
-                    xs = f"({xs})"
-                if i == 0:
-                    parts.append(xs)
-                else:
-                    head = "" if xs == "1" else f"{xs}*"
-                    parts.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
-            return " + ".join(parts)
-
-        num, den = a
-        if den == (self.below.one,):
-            return pstr(num)
-        return f"({pstr(num)})/({pstr(den)})"
+        num, den = (pstr(self.below, c, self.var) for c in a)
+        return num if a[1] == (self.below.one,) else f"({num})/({den})"
 
     def elem_to_json(self, a):
         K = self.below
@@ -796,10 +795,10 @@ class ExtField(Field):
 
     ``minpoly`` is a monic coefficient tuple over ``below``; irreducibility
     is the caller's responsibility (``make_field`` checks it).
-    ``inseparable`` marks a degree-p root adjunction x^p = y.
+    ``inseparable`` (derived) marks a minpoly with zero derivative, as x^p - y.
     """
 
-    def __init__(self, below, var, minpoly, inseparable=False):
+    def __init__(self, below, var, minpoly):
         if var in below.var_names():
             raise ValueError(f"variable name {var!r} reused in tower")
         minpoly = ptrim(below, minpoly)
@@ -809,9 +808,7 @@ class ExtField(Field):
         self.var = var
         self.minpoly = minpoly
         self.deg = len(minpoly) - 1
-        self.inseparable = inseparable or (
-            below.char > 0 and not ptrim(below, pderiv(below, minpoly))
-        )
+        self.inseparable = below.char > 0 and not ptrim(below, pderiv(below, minpoly))
         self.char = below.char
         self.zero = (below.zero,) * self.deg
         self.one = tuple(
@@ -921,19 +918,7 @@ class ExtField(Field):
         return tuple(self.below.rand(rng) for _ in range(self.deg))
 
     def to_str(self, a):
-        parts = []
-        for i, x in enumerate(a):
-            if self.below.is_zero(x):
-                continue
-            xs = self.below.to_str(x)
-            if any(ch in xs for ch in "+ /") or "-" in xs[1:]:
-                xs = f"({xs})"
-            if i == 0:
-                parts.append(xs)
-            else:
-                head = "" if xs == "1" else f"{xs}*"
-                parts.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        return pstr(self.below, a, self.var)
 
     def elem_to_json(self, a):
         return [self.below.elem_to_json(c) for c in a]
@@ -992,12 +977,7 @@ def make_field(descriptor):
                 raise ReduciblePolynomial("minimal polynomial must be monic nonconstant")
             if not is_irreducible(field, mp):
                 raise ReduciblePolynomial("minimal polynomial is reducible")
-            insep = (
-                field.char > 0
-                and len(mp) - 1 == field.char
-                and pderiv(field, mp) == ()
-            )
-            field = ExtField(field, var, mp, inseparable=insep)
+            field = ExtField(field, var, mp)
         elif "insep_root" in step:
             var = step["insep_root"]["var"]
             y = step["insep_root"]["y"]
@@ -1011,7 +991,7 @@ def make_field(descriptor):
                 field.neg(y) if i == 0 else (field.one if i == p else field.zero)
                 for i in range(p + 1)
             )
-            field = ExtField(field, var, mp, inseparable=True)
+            field = ExtField(field, var, mp)
         else:
             raise UnsupportedField(f"unknown step {step!r}")
     return field

@@ -1,15 +1,16 @@
 """Laurent-series local fields, residue symbols, and motivic conductors.
 
 Expansions at closed points of P^1 use t = theta + s (s the uniformizer) at
-finite separable points and s = 1/t at infinity; the residue at infinity is
-computed in s with ds, which is the convention making the full reciprocity
-sum vanish.  Conductors implement the logarithmic pole filtration for
-Omega^n (with Omega^0 = Ga in characteristic 0) and the Frobenius pole
-filtration for Ga in characteristic p.
+finite separable points and s = 1/t at infinity.  Conductors implement the
+logarithmic pole filtration for Omega^n (with Omega^0 = Ga in
+characteristic 0) and the Frobenius pole filtration for Ga in
+characteristic p.
 
-No user sets a precision.  A residue reads one coefficient (precision 1,
-or 3 at infinity, where dt = -s^{-2} ds); ``section_conductor`` reads an
-exact valuation and expands only a Ga pole part, to precision 1;
+Residues need no expansion: at every closed point, inseparable ones
+included, the traced residue is one coefficient of a remainder in K[t]
+(``_dt_residue``), with the sign at infinity that makes the full
+reciprocity sum vanish.  No user sets a precision: ``section_conductor``
+reads an exact valuation and expands only a Ga pole part, to precision 1;
 ``form_conductor`` expands each coefficient just past its valuation.
 """
 
@@ -26,7 +27,7 @@ from .errors import (
     ZeroFunction,
 )
 from . import factor as _factor
-from .fields import pcompose, pderiv, pinv_series, pmul, trace_norm
+from .fields import padd, pcompose, pderiv, pdivmod, pinv_series, pmod, pmul, psub, pxgcd
 from .kahler import DifferentialForm, dlog
 
 
@@ -177,16 +178,10 @@ class Laurent:
         )
 
 
-def point_is_separable(R, point):
-    if point == INF or len(point) == 2:
-        return True
-    return bool(pderiv(R.below, point))
-
-
 def expand_at(R, f, point, prec):
     """Truncated Laurent expansion of f in K(t) at a closed point of P^1."""
     K = R.below
-    if not point_is_separable(R, point):
+    if point != INF and len(point) > 2 and not pderiv(K, point):
         raise InseparableResiduePoint("residue field is inseparable over the base")
     num, den = f
     if not num:
@@ -214,37 +209,57 @@ def expand_at(R, f, point, prec):
 # ---------------------------------------------------------------------------
 
 
-def residue_form(R, form, point):
-    """Res_x of a form over K(t): s^{-1} ds coefficient, traced down to K.
+def _dt_residue(K, num, den, point):
+    """Tr_{K(x)/K} Res_x(num/den dt), read off one remainder in K[t].
 
-    Only monomials containing dt contribute: dt = ds at finite points
-    (t = theta + s) and dt = -s^{-2} ds at infinity.
+    By the residue theorem, which holds at every closed point, inseparable
+    ones included (Tate, "Residues of differentials on curves", 1968):
+
+    * at a finite point P, with den = P^m * C and gcd(P, C) = 1, it is the
+      coefficient of t^(m deg P - 1) in A = num * C^-1 mod P^m, since
+      A/P^m dt has poles only at P and at infinity;
+    * at infinity it is -r_(d-1), where r = num mod den and d = deg den
+      (den is monic).
     """
+    if point == INF:
+        r, top = pmod(K, num, den), len(den) - 2
+        return K.neg(r[top]) if 0 <= top < len(r) else K.zero
+    Pm, C, m = (K.one,), den, 0
+    while True:
+        q, rem = pdivmod(K, C, point)
+        if rem:
+            break
+        Pm, C, m = pmul(K, Pm, point), q, m + 1
+    if not m:
+        return K.zero
+    # C^-1 mod P, then Newton steps inv * (1 + e) with e = 1 - C * inv, each
+    # squaring the error: over F_p(u), Euclid against P^m itself swells
+    inv, k = pxgcd(K, pmod(K, C, point), point)[1], 1
+    while k < m:
+        e = psub(K, (K.one,), pmul(K, C, inv))
+        inv, k = pmod(K, pmul(K, inv, padd(K, (K.one,), e)), Pm), 2 * k
+    A, top = pmod(K, pmul(K, num, inv), Pm), len(Pm) - 2
+    return A[top] if top < len(A) else K.zero
+
+
+def residue_form(R, form, point):
+    """Res_x of a form over K(t), traced down to K; only dt monomials count."""
     K = R.below
     tvar = R.var
-    Kx = K if point == INF or len(point) == 2 else residue_field(R, point)
-    # only one coefficient of the expansion is read
-    need = 3 if point == INF else 1
     out = DifferentialForm.zero(K, form.degree - 1)
-    for m, c in form.coords.items():
+    for m, (num, den) in form.coords.items():
         if tvar not in m:
+            continue
+        r = _dt_residue(K, num, den, point)
+        if K.is_zero(r):
             continue
         pos = m.index(tvar)
         rest = tuple(v for v in m if v != tvar)
         # move dt to the last slot: (a, f) = Res(a ^ dlog f) specializes to
         # v_x(f) * a(x) for regular a only with the parameter form trailing
-        sign = -1 if (len(m) - 1 - pos) % 2 else 1
-        lau = expand_at(R, c, point, prec=need)
-        if point == INF:
-            r = Kx.neg(lau.coeff(1))  # (c ds part) = -c s^{-2} ds
-        else:
-            r = lau.coeff(-1)
-        if sign < 0:
-            r = Kx.neg(r)
-        tr = r if Kx == K else trace_norm(Kx, r)[0]
-        if K.is_zero(tr):
-            continue
-        out = out + DifferentialForm(K, len(rest), {rest: tr})
+        if (len(m) - 1 - pos) % 2:
+            r = K.neg(r)
+        out = out + DifferentialForm(K, len(rest), {rest: r})
     return out
 
 
