@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import check_congruence, divisor_of, evaluate_at, residue_field
+from .curve import boundary_values, check_congruence
 from .errors import (
     CongruenceFailure,
     IncompatibleTerms,
@@ -168,16 +168,9 @@ def rat_equiv_zero(R, base, gs, f, ambient_tags, conv=SUM):
             "parameter function is not congruent to 1 modulo the pulled-back modulus"
         )
     terms = []
-    for point, v in divisor_of(R, f).support.items():
-        if v == 0:
-            continue
-        Kx = residue_field(R, point)
-        coords = []
-        for tag, g in zip(ambient_tags, gs):
-            val = evaluate_at(R, g, point)
-            if val is None or (tag == GM and Kx.is_zero(val)):
-                raise PointOnDivisor("boundary point meets the ambient divisor")
-            coords.append(val)
+    for _, v, Kx, coords in boundary_values(R, f, gs):
+        if None in coords:
+            raise PointOnDivisor("boundary point meets the ambient divisor")
         terms.append((Kx, tuple(coords), v))
     return zero_cycle(base, ambient_tags, terms, conv)
 

@@ -3,7 +3,9 @@
 A rational function lives in ``R = RatFunField(K, t)``; its finite closed
 points are keyed by monic irreducible polynomials in t over K, the point at
 infinity by the string ``"inf"`` (all valuations there use the parameter
-s = 1/t).
+s = 1/t).  A value g(x) lies in the residue field K(x) = K[t]/(P): the class
+of g mod P.  ``boundary_values`` lists f's zeros and poles with the values
+of the sections there, for the curve relations and boundary cycles.
 """
 
 from __future__ import annotations
@@ -11,14 +13,7 @@ from __future__ import annotations
 import json
 
 from .errors import ZeroFunction
-from .fields import (
-    ExtField,
-    pdivmod,
-    peval,
-    pmod,
-    pmonic,
-    ptrim,
-)
+from .fields import ExtField, peval, pmonic, pmultiplicity, ptrim
 from . import factor as _factor
 
 INF = "inf"
@@ -51,8 +46,7 @@ def evaluate_at(R, f, point):
         theta = K.neg(point[0])
         red = lambda poly: peval(K, poly, theta)
     else:
-        theta = Kx.gen()
-        red = lambda poly: peval(Kx, tuple(map(Kx.lift, pmod(K, poly, point))), theta)
+        red = Kx.make
     d = red(den)
     if Kx.is_zero(d):
         return None
@@ -172,19 +166,14 @@ def valuation_at(R, f, point):
         return (len(den) - 1) - (len(num) - 1)
     K = R.below
     p = pmonic(K, ptrim(K, point))
+    return pmultiplicity(K, num, p)[0] - pmultiplicity(K, den, p)[0]
 
-    def mult(poly):
-        m = 0
-        while True:
-            q, r = pdivmod(K, poly, p)
-            if r:
-                return m, poly
-            poly = q
-            m += 1
 
-    mn, _ = mult(num)
-    md, _ = mult(den)
-    return mn - md
+def boundary_values(R, f, gs):
+    """``(x, v_x(f), K(x), [g(x) or None for g in gs])`` at each zero and
+    pole x of f, in the order of f's divisor; None marks a pole of g."""
+    for x, v in divisor_of(R, f).support.items():
+        yield x, v, residue_field(R, x), [evaluate_at(R, g, x) for g in gs]
 
 
 def check_congruence(R, f, D):

@@ -55,6 +55,7 @@ from .fields import (
     pmod,
     pmonic,
     pmul,
+    pmultiplicity,
     pneg,
     ppow_mod,
     psub,
@@ -591,13 +592,7 @@ def _factor_monic(field, f):
     sf = _pquo(field, f, g) if len(g) > 1 else f
     rem = f
     for q in factor_squarefree(field, sf):
-        m = 0
-        while True:
-            quo, r = pdivmod(field, rem, q)
-            if r:
-                break
-            rem = quo
-            m += 1
+        m, rem = pmultiplicity(field, rem, q)
         if m:
             out[q] = out.get(q, 0) + m
     for q, m in _factor_monic(field, rem).items():

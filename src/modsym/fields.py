@@ -440,6 +440,17 @@ def pmod(field, a, b):
     return pdivmod(field, a, b)[1]
 
 
+def pmultiplicity(field, a, q):
+    """``(m, b)`` with ``a = q^m * b`` and ``q`` not dividing ``b``; ``a``
+    must be nonzero."""
+    m = 0
+    while True:
+        quo, r = pdivmod(field, a, q)
+        if r:
+            return m, a
+        a, m = quo, m + 1
+
+
 def pgcd(field, a, b):
     """Monic gcd of two polynomials (``()`` when both are zero).
 
@@ -1080,16 +1091,12 @@ def _resultant(field, A, B):
 
 def trace_to(top, base, a):
     """Compose traces step by step from ``top`` down to ``base``."""
-    f = top
-    while f != base:
-        a = trace_norm(f, a)[0]
-        f = f.below
+    for step in reversed(top.steps_above(base)):
+        a = trace_norm(step, a)[0]
     return a
 
 
 def norm_to(top, base, a):
-    f = top
-    while f != base:
-        a = trace_norm(f, a)[1]
-        f = f.below
+    for step in reversed(top.steps_above(base)):
+        a = trace_norm(step, a)[1]
     return a

@@ -1,7 +1,8 @@
 """Laurent-series local fields, residue symbols, and motivic conductors.
 
 Expansions at closed points of P^1 use t = theta + s (s the uniformizer) at
-finite separable points and s = 1/t at infinity.  Conductors implement the
+finite separable points and s = 1/t at infinity; s is primed (s', s'', ...)
+when the base has a variable of that name.  Conductors implement the
 logarithmic pole filtration for Omega^n (with Omega^0 = Ga in
 characteristic 0) and the Frobenius pole filtration for Ga in
 characteristic p.
@@ -11,7 +12,8 @@ included, the traced residue is one coefficient of a remainder in K[t]
 (``_dt_residue``), with the sign at infinity that makes the full
 reciprocity sum vanish.  No user sets a precision: ``section_conductor``
 reads an exact valuation and expands only a Ga pole part, to precision 1;
-``form_conductor`` expands each coefficient just past its valuation.
+``form_conductor`` expands each coefficient just past its valuation, at
+separable points (``localize_form`` says where a form with dt is refused).
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from .errors import (
     InseparableResiduePoint,
     InsufficientPrecision,
     NoEvaluationMap,
+    UnsupportedField,
     ZeroDivisionInField,
     ZeroFunction,
 )
 from . import factor as _factor
-from .fields import padd, pcompose, pderiv, pdivmod, pinv_series, pmod, pmul, psub, pxgcd
-from .kahler import DifferentialForm, dlog
+from .fields import padd, pcompose, pderiv, pinv_series, pmod, pmul, pmultiplicity, psub, pxgcd
+from .kahler import DifferentialForm, differential, dlog
 
 
 class Laurent:
@@ -183,13 +186,16 @@ def expand_at(R, f, point, prec):
     K = R.below
     if point != INF and len(point) > 2 and not pderiv(K, point):
         raise InseparableResiduePoint("residue field is inseparable over the base")
+    s = "s"  # the local parameter, named apart from the variables of K
+    while s in K.var_names():
+        s += "'"
     num, den = f
     if not num:
-        return Laurent(K, "s", 0, [])
+        return Laurent(K, s, 0, [])
     if point == INF:
         Kx = K
-        ln = Laurent(K, "s", -(len(num) - 1), tuple(reversed(num)))
-        ld = Laurent(K, "s", -(len(den) - 1), tuple(reversed(den)))
+        ln = Laurent(K, s, -(len(num) - 1), tuple(reversed(num)))
+        ld = Laurent(K, s, -(len(den) - 1), tuple(reversed(den)))
     else:
         Kx = residue_field(R, point)
         if len(point) == 2:
@@ -199,8 +205,8 @@ def expand_at(R, f, point, prec):
             theta = Kx.gen()
             lift = Kx.lift
         t = (theta, Kx.one)  # t = theta + s
-        ln = Laurent(Kx, "s", 0, pcompose(Kx, tuple(lift(c) for c in num), t))
-        ld = Laurent(Kx, "s", 0, pcompose(Kx, tuple(lift(c) for c in den), t))
+        ln = Laurent(Kx, s, 0, pcompose(Kx, tuple(lift(c) for c in num), t))
+        ld = Laurent(Kx, s, 0, pcompose(Kx, tuple(lift(c) for c in den), t))
     return ln * ld.inv(prec - ln.valuation())
 
 
@@ -224,14 +230,12 @@ def _dt_residue(K, num, den, point):
     if point == INF:
         r, top = pmod(K, num, den), len(den) - 2
         return K.neg(r[top]) if 0 <= top < len(r) else K.zero
-    Pm, C, m = (K.one,), den, 0
-    while True:
-        q, rem = pdivmod(K, C, point)
-        if rem:
-            break
-        Pm, C, m = pmul(K, Pm, point), q, m + 1
+    m, C = pmultiplicity(K, den, point)
     if not m:
         return K.zero
+    Pm = (K.one,)
+    for _ in range(m):
+        Pm = pmul(K, Pm, point)
     # C^-1 mod P, then Newton steps inv * (1 + e) with e = 1 - C * inv, each
     # squaring the error: over F_p(u), Euclid against P^m itself swells
     inv, k = pxgcd(K, pmod(K, C, point), point)[1], 1
@@ -429,7 +433,7 @@ def conductor(tag, data):
 
 
 def form_conductor(R, form, point):
-    """Exact Omega conductor of a form over K(t) at a rational point or inf."""
+    """Exact Omega conductor of a form over K(t) at a separable point or inf."""
     # a coefficient's valuation is resolved at one past it; at infinity
     # dt = -s^{-2} ds takes two more
     need = 1 + max((valuation_at(R, c, point) for c in form.coords.values()), default=0)
@@ -451,15 +455,15 @@ def localize_form(R, form, point, prec):
     """Expand a form over K(t) at a point into Laurent-coefficient data.
 
     Returns {monomial: Laurent} where dt has been rewritten in terms of the
-    local parameter: ds at finite points (theta constant for rational
-    points), -s^{-2} ds at infinity.  Only rational points and infinity are
-    supported, which keeps the residue-field basis equal to that of K.
+    local parameter: ds at finite points (t = theta + s with theta constant),
+    -s^{-2} ds at infinity.  At a separable point the residue field adds no
+    differential, so the monomial basis is that of K; ``expand_at`` refuses
+    inseparable points.  dt = ds + d(theta) is not rewritten, so a form with
+    dt is refused at a point of degree >= 2 where d(theta) != 0.
     """
-    K = R.below
-    if point != INF and len(point) != 2:
-        raise InseparableResiduePoint(
-            "localized conductor data only at rational points and infinity"
-        )
+    if point != INF and len(point) > 2 and any(R.var in m for m in form.coords) and any(
+            differential(R.below, c).coords for c in point):
+        raise UnsupportedField("d(theta) != 0 at the point: dt = ds + d(theta) not localized")
     out = {}
 
     def put(mono, lau):
@@ -481,5 +485,5 @@ def localize_form(R, form, point, prec):
             lau = -lau
         if sign < 0:
             lau = -lau
-        put(("s",) + rest, lau)
+        put((lau.var,) + rest, lau)
     return {m: l for m, l in out.items() if not l.is_known_zero()}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import INF, Divisor, divisor_of
+from .curve import INF, Divisor, combine_divisors, divisor_of
 from .errors import DegenerateMap, InfiniteValuation, UnsupportedField
 from .fields import peval
 
@@ -134,20 +134,13 @@ def pullback_divisor(R, g, target_divisor):
     return out
 
 
-def _pullback_requirement(R, g, target):
+def required_modulus(R, g, target):
     """The minimal effective divisor D with g admissible from (P^1, D)."""
     if target.carrier == "P1":
         return pullback_divisor(R, g[0], target.infty)
     d1 = pullback_divisor(R, g[0], target.m1.infty)
     d2 = pullback_divisor(R, g[1], target.m2.infty)
-    if target.conv == SUM:
-        return d1 + d2
-    support = set(d1.support) | set(d2.support)
-    return Divisor(R, {x: max(d1[x], d2[x]) for x in support})
-
-
-def required_modulus(R, g, target):
-    return _pullback_requirement(R, tuple(g), target)
+    return combine_divisors([d1, d2], target.conv)
 
 
 def admissible(g, source, target):
@@ -161,7 +154,7 @@ def admissible(g, source, target):
     """
     if source.carrier == "P1":
         R = source.infty.R
-        req = _pullback_requirement(R, tuple(g), target)
+        req = required_modulus(R, g, target)
         D = source.infty
         return all(D[x] >= req[x] for x in req.support)
     if source.carrier == "prod":

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import factor as _factor
 from .curve import (
     INF,
+    Divisor,
+    boundary_values,
     check_congruence,
     combine_divisors,
     divisor_of,
@@ -236,29 +237,20 @@ class RelationInstance:
 
 
 def _certify_section(R, tag, g, D):
-    """Every pole/zero level of g must be covered by its declared divisor."""
-    if tag == "Z":
+    """c_x(g) <= D(x) at the points of D and wherever c_x(g) can be positive:
+    the zeros and poles of a Gm section, the zeros of a Ga section's
+    denominator and inf."""
+    if tag == "Z" or (tag == "Ga" and R.is_zero(g)):
         return
-    if tag == "Gm":
-        for point, v in divisor_of(R, g).support.items():
-            if v != 0 and D[point] < 1:
-                raise ConductorCertificateFailure(
-                    f"Gm section not a unit outside the divisor at {point!r}"
-                )
-        return
-    if tag == "Ga":
-        num, den = g
-        pole_pts = [p for p, m in _factor.factor(R.below, den)[1]]
-        if len(num) > len(den):
-            pole_pts.append(INF)
-        for point in set(pole_pts) | set(D.support):
-            c = section_conductor(R, tag, g, point).result
-            if c > D[point]:
-                raise ConductorCertificateFailure(
-                    f"Ga conductor {c} exceeds declared level {D[point]} at {point!r}"
-                )
-        return
-    raise NoEvaluationMap(f"unsupported section tag {tag!r}")
+    if tag not in ("Ga", "Gm"):
+        raise NoEvaluationMap(f"unsupported section tag {tag!r}")
+    pts = set(divisor_of(R, g if tag == "Gm" else (R.one[0], g[1])).support) | set(D.support)
+    for x in Divisor(R, dict.fromkeys(pts | ({INF} if tag == "Ga" else set()), 1)).points():
+        c = section_conductor(R, tag, g, x).result
+        if c > D[x]:
+            raise ConductorCertificateFailure(
+                f"{tag} conductor {c} exceeds declared level {D[x]} at {x!r}"
+            )
 
 
 def make_relation(R, base, f, sections, convention=SUM):
@@ -275,25 +267,17 @@ def make_relation(R, base, f, sections, convention=SUM):
     for tag, g, D in sections:
         _certify_section(R, tag, g, D)
 
-    L = R.below
     tags = tuple(tag for tag, _, _ in sections)
     terms = []
-    for point, v in divisor_of(R, f).support.items():
-        if v == 0:
-            continue
+    for x, v, Kx, values in boundary_values(R, f, [g for _, g, _ in sections]):
         # check_congruence above gave v_x(f - 1) >= D_total(x) >= 1 on the
         # support of D_total, so f(x) = 1 there and v_x(f) = 0: a zero or pole
         # of f never meets the modulus, and this assert cannot fail.
-        assert D_total[point] == 0, "zeros/poles of f must avoid the modulus"
-        Kx = residue_field(R, point)
-        values = []
-        for tag, g, _ in sections:
-            val = evaluate_at(R, g, point)
-            if val is None:
-                raise ConductorCertificateFailure(
-                    f"section has a pole at an evaluation point {point!r}"
-                )
-            values.append(val)
+        assert D_total[x] == 0, "zeros/poles of f must avoid the modulus"
+        if None in values:
+            raise ConductorCertificateFailure(
+                f"section has a pole at an evaluation point {x!r}"
+            )
         terms.append(_term(v, Kx, tags, values))
     ss = SymbolSum(base, convention, terms)
     return RelationInstance(R, base, f, tuple(sections), convention, ss)
@@ -535,9 +519,10 @@ def conductor_subadditivity_check(R, entries, point, convention=SUM, ram_e=1):
 
     a = entries[0][1]
     form = dlog_wedge(R, [g for _, g in entries[1:]]).scale(a)
-    local = localize_form(R, form, point, prec=max(2, raw + 2))
-    if ram_e > 1:
-        local = kummer_push_local(local, ram_e)
+    # a pushed level reads only exponents below e - 1 (with ds) or below 0
+    # (without); at infinity dt = -s^-2 ds takes two more
+    prec = max(ram_e - 1, 1) + (2 if point == INF else 0)
+    local = kummer_push_local(localize_form(R, form, point, prec=prec), ram_e)
     n = len(entries) - 1
     c_eval = conductor_omega(local, n).result
     return SubadditivityReport(cs, bound, c_eval, c_eval <= bound)
