@@ -3,9 +3,8 @@
 Field towers are written as a base followed by rational-function steps, e.g.
 ``Q(t)`` or ``F7(u)(t)``; elements use an ASCII grammar with ``+ - * / ^``
 and parentheses, e.g. ``(t^2-1)/(t^2-4)``.  JSON is the canonical machine
-interface; expressions are sugar.  Output is byte-identical for every seed
-(``--seed`` or the MODSYM_SEED environment variable), which steers only the
-randomized factor splitters.
+interface; expressions are sugar.  Output is byte-identical for every
+``--seed``, which steers only the randomized factor splitters.
 
 Exit codes: 0 success, 1 input, validation or usage error (an ``InvalidInput``
 error carries its library name in the JSON body), 2 mathematical precondition
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import factor as _factor
@@ -25,7 +23,7 @@ from .curve import INF, Divisor, valuation_at
 from .errors import DegreeTooLarge, ExponentTooLarge, InvalidInput, ModsymError
 from .fields import FpField, QField, RatFunField, make_field
 from .fixtures import FIXTURES, run_fixtures
-from .kahler import DifferentialForm, dlog
+from .kahler import dlog_wedge
 from .localfield import (
     Laurent,
     form_conductor,
@@ -247,10 +245,9 @@ def parse_divisor(R, text):
 
 
 def _build_form(R, a_text, dlog_texts):
-    form = DifferentialForm.scalar(R, parse_elem(R, a_text))
-    for b in dlog_texts or []:
-        form = form.wedge(dlog(R, parse_elem(R, b)))
-    return form
+    a = parse_elem(R, a_text)
+    # a generator: each dlog argument is parsed just before its dlog is taken
+    return dlog_wedge(R, (parse_elem(R, b) for b in dlog_texts)).scale(a)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +523,8 @@ def main(argv=None):
     except ValueError as e:
         _emit({"error": "validation", "message": str(e)}, "--json" in argv)
         return 1
-    seed = args.seed
-    if seed is None and os.environ.get("MODSYM_SEED"):
-        try:
-            seed = int(os.environ["MODSYM_SEED"])
-        except ValueError:
-            _emit({"error": "validation", "message": "MODSYM_SEED must be an integer"}, args.json)
-            return 1
-    if seed is not None:
-        _factor._RNG_SEED = seed
+    if args.seed is not None:
+        _factor._RNG_SEED = args.seed
     try:
         out = args.handler(args)
     except ModsymError as e:

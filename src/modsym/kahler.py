@@ -7,6 +7,9 @@ root adjunction x^p = y contributes dx and imposes dy = 0, eliminating one
 lower basis element.  Towers where this recipe fails to produce a free
 module are rejected.
 
+``differential`` applies the quotient rule to polynomials over the field
+below, and ``dlog_wedge(K, bs).scale(a)`` builds a dlog b_1 ^ ... ^ dlog b_n.
+
 Jets (K tensor_Z K)/I_Delta^2 are stored decomposed as (omega, scalar) with
 a tensor a(x)b mapping to (a db, ab); the alternative decomposition
 (b da, ab) of the same tensor corresponds to (d(scalar) - omega, scalar).
@@ -22,6 +25,8 @@ from .fields import (
     ExtField,
     RatFunField,
     pderiv,
+    pmul,
+    psub,
     ptrim,
     trace_norm,
 )
@@ -50,36 +55,20 @@ def _elim_data(K):
     B = K.below
     y = B.neg(K.minpoly[0])
     dy = _d(B, y)
-    order = basis_vars(B)
-    v0 = None
-    for v in reversed(order):
-        if v in dy and not B.is_zero(dy[v]):
-            v0 = v
-            break
+    # _d keeps only nonzero coefficients
+    v0 = next((v for v in reversed(basis_vars(B)) if v in dy), None)
     if v0 is None:
         raise UnsupportedField("dy = 0: cannot present Omega of this tower freely")
-    lifted = {v: K.lift(w) for v, w in dy.items() if not B.is_zero(w)}
-    return v0, lifted
+    return v0, {v: K.lift(w) for v, w in dy.items()}
 
 
-def _collect(K, poly_dicts):
-    """Combine per-coefficient differentials into K-elements of Sum w_i gen^i.
-
-    ``poly_dicts`` is a list of dicts over the field below (one per
-    coefficient of a polynomial in the generator of K).
-    """
-    B = K.below
-    vs = set()
-    for dct in poly_dicts:
-        vs |= set(dct)
+def _transpose(B, dicts):
+    """The differentials of a polynomial's coefficients as {v: polynomial}."""
     out = {}
-    for v in vs:
-        vec = [dct.get(v, B.zero) for dct in poly_dicts]
-        if isinstance(K, RatFunField):
-            out[v] = K.make(ptrim(B, vec), (B.one,))
-        else:
-            out[v] = K.make(ptrim(B, vec))
-    return out
+    for i, dct in enumerate(dicts):
+        for v, w in dct.items():
+            out.setdefault(v, [B.zero] * len(dicts))[i] = w
+    return {v: ptrim(B, vec) for v, vec in out.items()}
 
 
 def _d(K, a):
@@ -88,59 +77,57 @@ def _d(K, a):
         return {}
     B = K.below
     if isinstance(K, RatFunField):
+        # d(num/den) = (den dnum - num dden) / den^2, per basis variable on
+        # polynomials over B, reduced once
         num, den = a
 
         def dpoly(poly):
-            out = _collect(K, [_d(B, c) for c in poly])
+            out = _transpose(B, [_d(B, c) for c in poly])
             dp = pderiv(B, poly)
             if dp:
-                out[K.var] = K.add(out.get(K.var, K.zero), K.make(dp, (B.one,)))
+                out[K.var] = dp
             return out
 
         dnum, dden = dpoly(num), dpoly(den)
-        numK = K.make(num, (B.one,))
-        denK = K.make(den, (B.one,))
-        den2 = K.mul(denK, denK)
+        den2 = pmul(B, den, den)
         res = {}
         for v in set(dnum) | set(dden):
-            val = K.sub(
-                K.mul(dnum.get(v, K.zero), denK), K.mul(numK, dden.get(v, K.zero))
-            )
-            val = K.div(val, den2)
-            if not K.is_zero(val):
-                res[v] = val
+            P = psub(B, pmul(B, den, dnum.get(v, ())), pmul(B, num, dden.get(v, ())))
+            if P:
+                res[v] = K.make(P, den2)
         return res
 
     # algebraic step
-    res = _collect(K, [_d(B, c) for c in a])
+    res = {v: K.make(p) for v, p in _transpose(B, [_d(B, c) for c in a]).items()}
     aprime = pderiv(B, a)
-    aprimeK = K.make(aprime) if aprime else K.zero
     if not K.inseparable:
-        m = K.minpoly
-        mprime = pderiv(B, m)
-        mprimeK = K.make(mprime)
-        dm = _collect(K, [_d(B, c) for c in m])
-        for v, w in dm.items():
-            dx_v = K.neg(K.div(w, mprimeK))
-            res[v] = K.add(res.get(v, K.zero), K.mul(aprimeK, dx_v))
+        # m(x) = 0 gives dx = -dm(x) / m'(x), where dm is the coefficient-wise
+        # differential of the minimal polynomial m
+        dm = _transpose(B, [_d(B, c) for c in K.minpoly])
+        if dm and aprime:
+            ratio = K.div(K.make(aprime), K.make(pderiv(B, K.minpoly)))
+            for v, p in dm.items():
+                res[v] = K.sub(res.get(v, K.zero), K.mul(ratio, K.make(p)))
     else:
-        if not K.is_zero(aprimeK):
-            res[K.var] = K.add(res.get(K.var, K.zero), aprimeK)
+        if aprime:  # x is no variable below, so res has no dx yet
+            res[K.var] = K.make(aprime)
+        # dy = 0 eliminates v0: dv0 = -(sum of dy_v dv over v != v0) / dy_v0
         v0, dy = _elim_data(K)
-        c0 = res.pop(v0, K.zero)
-        if not K.is_zero(c0):
-            inv = K.inv(dy[v0])
+        if v0 in res:
+            c = K.div(res.pop(v0), dy[v0])
             for v, w in dy.items():
-                if v == v0:
-                    continue
-                res[v] = K.sub(res.get(v, K.zero), K.mul(c0, K.mul(w, inv)))
+                if v != v0:
+                    res[v] = K.sub(res.get(v, K.zero), K.mul(c, w))
     return {v: w for v, w in res.items() if not K.is_zero(w)}
 
 
 class DifferentialForm:
     """Element of Omega^n_{K/Z} in the canonical d(variable) wedge basis.
 
-    coords maps sorted tuples of basis-variable names to nonzero coefficients.
+    coords maps tuples of basis-variable names to nonzero coefficients.  Each
+    key is sorted in the order of ``basis_vars(K)``, which ends with the top
+    variable of a rational-function step: over K(t), dt is the last slot of
+    every key that has it.
     """
 
     def __init__(self, field, degree, coords=None):
@@ -208,12 +195,9 @@ class DifferentialForm:
                 if len(set(mono)) < len(mono):
                     continue
                 idx = [order[v] for v in mono]
-                sign = _sort_sign(idx)
-                if sign == 0:
-                    continue
                 key = tuple(v for _, v in sorted(zip(idx, mono)))
                 c = K.mul(c1, c2)
-                if sign < 0:
+                if _odd(idx):
                     c = K.neg(c)
                 out[key] = K.add(out.get(key, K.zero), c)
         return DifferentialForm(K, self.degree + other.degree, out)
@@ -243,18 +227,9 @@ class DifferentialForm:
         return cls(field, degree, coords)
 
 
-def _sort_sign(idx):
-    """Sign of the permutation sorting idx; 0 on repeats."""
-    sign = 1
-    idx = list(idx)
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] == idx[j]:
-                return 0
-            if idx[i] > idx[j]:
-                idx[i], idx[j] = idx[j], idx[i]
-                sign = -sign
-    return sign
+def _odd(idx):
+    """Whether the permutation sorting the distinct keys idx is odd."""
+    return sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:]) % 2
 
 
 def differential(K, a):
@@ -312,16 +287,12 @@ def trace_form(L, form):
     xvar = L.var
     out = DifferentialForm.zero(K, form.degree)
     for m, c in form.coords.items():
-        if xvar not in m:
-            continue
-        pos = m.index(xvar)
-        rest = tuple(v for v in m if v != xvar)
-        # move dx to the front of the wedge
-        sign = -1 if pos % 2 else 1
         a = c[p - 1]  # x^{p-1} component, an element of K
-        if K.is_zero(a):
+        if m[-1:] != (xvar,) or K.is_zero(a):
             continue
-        if sign < 0:
+        # dx is the last slot: rest ^ dx = (-1)^len(rest) dx ^ rest
+        rest = m[:-1]
+        if len(rest) % 2:
             a = K.neg(a)
         rest_form = DifferentialForm(K, len(rest), {rest: K.one})
         out = out + dy.scale(a).wedge(rest_form)

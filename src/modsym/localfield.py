@@ -10,9 +10,10 @@ characteristic p.
 Residues need no expansion: at every closed point, inseparable ones
 included, the traced residue is one coefficient of a remainder in K[t]
 (``_dt_residue``), with the sign at infinity that makes the full
-reciprocity sum vanish.  No user sets a precision: ``section_conductor``
-reads an exact valuation and expands only a Ga pole part, to precision 1;
-``form_conductor`` expands each coefficient just past its valuation, at
+reciprocity sum vanish; they read dt off the last slot of a form's keys.
+No user sets a precision: ``section_conductor`` reads an exact valuation and
+expands only a Ga pole part, to precision 1; ``form_conductor`` writes dt as
+ds + d(theta) and expands each coefficient just past its valuation, at
 separable points (``localize_form`` says where a form with dt is refused).
 """
 
@@ -249,21 +250,12 @@ def _dt_residue(K, num, den, point):
 def residue_form(R, form, point):
     """Res_x of a form over K(t), traced down to K; only dt monomials count."""
     K = R.below
-    tvar = R.var
     out = DifferentialForm.zero(K, form.degree - 1)
+    # dt is the last slot, as (a, f) = Res(a ^ dlog f) specializes to
+    # v_x(f) * a(x) for regular a only with the parameter form trailing
     for m, (num, den) in form.coords.items():
-        if tvar not in m:
-            continue
-        r = _dt_residue(K, num, den, point)
-        if K.is_zero(r):
-            continue
-        pos = m.index(tvar)
-        rest = tuple(v for v in m if v != tvar)
-        # move dt to the last slot: (a, f) = Res(a ^ dlog f) specializes to
-        # v_x(f) * a(x) for regular a only with the parameter form trailing
-        if (len(m) - 1 - pos) % 2:
-            r = K.neg(r)
-        out = out + DifferentialForm(K, len(rest), {rest: r})
+        if m[-1:] == (R.var,):
+            out = out + DifferentialForm(K, len(m) - 1, {m[:-1]: _dt_residue(K, num, den, point)})
     return out
 
 
@@ -435,8 +427,10 @@ def conductor(tag, data):
 def form_conductor(R, form, point):
     """Exact Omega conductor of a form over K(t) at a separable point or inf."""
     # a coefficient's valuation is resolved at one past it; at infinity
-    # dt = -s^{-2} ds takes two more
-    need = 1 + max((valuation_at(R, c, point) for c in form.coords.values()), default=0)
+    # dt = -s^{-2} ds takes two more.  The coefficients are those after the
+    # rewrite of dt, whose valuations cancellation can raise.
+    coeffs = _with_dtheta(R, form, point).coords.values()
+    need = 1 + max((valuation_at(R, c, point) for c in coeffs), default=0)
     local = localize_form(R, form, point, prec=max(need, 3 if point == INF else 1))
     return conductor_omega(local, form.degree)
 
@@ -455,35 +449,42 @@ def localize_form(R, form, point, prec):
     """Expand a form over K(t) at a point into Laurent-coefficient data.
 
     Returns {monomial: Laurent} where dt has been rewritten in terms of the
-    local parameter: ds at finite points (t = theta + s with theta constant),
-    -s^{-2} ds at infinity.  At a separable point the residue field adds no
-    differential, so the monomial basis is that of K; ``expand_at`` refuses
-    inseparable points.  dt = ds + d(theta) is not rewritten, so a form with
-    dt is refused at a point of degree >= 2 where d(theta) != 0.
+    local parameter: dt = ds + d(theta) at finite points (t = theta + s, see
+    ``_with_dtheta``), -s^{-2} ds at infinity.  At a separable point the
+    residue field adds no differential, so the monomial basis is that of K;
+    ``expand_at`` refuses inseparable points.
     """
-    if point != INF and len(point) > 2 and any(R.var in m for m in form.coords) and any(
-            differential(R.below, c).coords for c in point):
-        raise UnsupportedField("d(theta) != 0 at the point: dt = ds + d(theta) not localized")
     out = {}
-
-    def put(mono, lau):
-        if mono in out:
-            out[mono] = out[mono] + lau
-        else:
-            out[mono] = lau
-
-    for m, c in form.coords.items():
+    for m, c in _with_dtheta(R, form, point).coords.items():
         lau = expand_at(R, c, point, prec=prec)
-        if R.var not in m:
-            put(m, lau)
-            continue
-        pos = m.index(R.var)
-        rest = tuple(v for v in m if v != R.var)
-        sign = -1 if pos % 2 else 1
-        if point == INF:
-            lau = lau.shift(-2)
-            lau = -lau
-        if sign < 0:
-            lau = -lau
-        put((lau.var,) + rest, lau)
+        if m[-1:] == (R.var,):
+            if point == INF:
+                lau = -lau.shift(-2)
+            # ds moves to the front past len(rest) slots; its key cannot
+            # collide with a key of K, as s is named apart from K's variables
+            rest = m[:-1]
+            if len(rest) % 2:
+                lau = -lau
+            m = (lau.var,) + rest
+        out[m] = lau
     return {m: l for m, l in out.items() if not l.is_known_zero()}
+
+
+def _with_dtheta(R, form, point):
+    """The form with dt = ds + d(theta) at t = theta + s, ds still named dt.
+
+    At a rational point each c rest^dt gains c rest^d(theta).  A form with
+    dt at a point of degree >= 2 with d(theta) != 0 is refused.
+    """
+    if point == INF or not any(m[-1:] == (R.var,) for m in form.coords):
+        return form
+    dP = [differential(R, R.lift(c)) for c in point[:-1]]
+    if all(d.is_zero() for d in dP):
+        return form
+    if len(point) > 2:
+        raise UnsupportedField("d(theta) != 0 at the point: dt = ds + d(theta) not localized")
+    out = form
+    for m, c in form.coords.items():
+        if m[-1:] == (R.var,):  # theta = -point[0], so d(theta) = -dP[0]
+            out = out - DifferentialForm(R, len(m) - 1, {m[:-1]: c}).wedge(dP[0])
+    return out

@@ -147,12 +147,16 @@ def admissible(g, source, target):
     """source-modulus >= pulled-back target-modulus, pointwise.
 
     For a line source, ``g`` is a tuple of rational functions over the
-    source's function field.  For a product source only monomial maps
+    source's function field, one per factor of the target (a ``ValueError``
+    otherwise).  For a product source only monomial maps
     (m, n) |-> x^m y^n into a line pair are supported; the divisor
     inequality is then a cone condition over all probes:
     k(ma + nb) <= a+b for the sum product, <= max(a, b) for the max one.
     """
     if source.carrier == "P1":
+        need = 1 if target.carrier == "P1" else 2
+        if len(g) != need:
+            raise ValueError(f"one map per factor of the target: {need} expected, {len(g)} given")
         R = source.infty.R
         req = required_modulus(R, g, target)
         D = source.infty

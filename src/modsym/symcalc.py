@@ -306,6 +306,13 @@ def _trace_chain(L, base):
     return chain
 
 
+def _push_form(form, base, coeff):
+    """coeff * Tr(form), traced from the form's field down to base."""
+    for step in _trace_chain(form.field, base):
+        form = trace_form(step, form)
+    return form.scale(base.from_int(coeff))
+
+
 def eval_omega(s, allow_out_of_hypothesis=False):
     """[a, b_1,...,b_n] -> Tr(a dlog b_1 ^ ... ^ dlog b_n) in Omega^n."""
     _guard_char(s.base, {2, 3, 5}, allow_out_of_hypothesis)
@@ -313,12 +320,8 @@ def eval_omega(s, allow_out_of_hypothesis=False):
     for term in s.terms:
         if not (term.tags and term.tags[0] == "Ga" and all(t == "Gm" for t in term.tags[1:])):
             raise NoEvaluationMap("omega evaluation needs tags (Ga, Gm, ..., Gm)")
-        L = term.field
-        a = term.values[0]
-        form = dlog_wedge(L, term.values[1:]).scale(a)
-        for step in _trace_chain(L, s.base):
-            form = trace_form(step, form)
-        form = form.scale(s.base.from_int(term.coeff))
+        form = dlog_wedge(term.field, term.values[1:]).scale(term.values[0])
+        form = _push_form(form, s.base, term.coeff)
         total = form if total is None else total + form  # IncompatibleTerms on mixed arity
     if total is None:
         return DifferentialForm.zero(s.base, 0)
@@ -454,10 +457,7 @@ def eval_milnor(s, valuation_point=None):
             raise NoEvaluationMap("Milnor evaluation needs all-Gm tags")
         L = term.field
         # dlog image: eval_omega with a = 1
-        form = dlog_wedge(L, term.values)
-        for step in _trace_chain(L, s.base):
-            form = trace_form(step, form)
-        form = form.scale(s.base.from_int(term.coeff))
+        form = _push_form(dlog_wedge(L, term.values), s.base, term.coeff)
         dlog_total = form if dlog_total is None else dlog_total + form
         # norm push: direct for arity one, slot-wise reduction otherwise
         if len(term.values) == 1:
