@@ -86,16 +86,6 @@ class ChowClass:
     pairing: object  # JetElement | DifferentialForm (Milnor: its dlog form)
     base: object
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChowClass)
-            and other.tags == self.tags
-            and other.degree == self.degree
-            and other.j1 == self.j1
-            and other.j2 == self.j2
-            and other.pairing == self.pairing
-        )
-
     def is_zero(self):
         K = self.base
         zeros = {GA: K.zero, GM: K.one}
@@ -108,12 +98,11 @@ class ChowClass:
 
     def to_json(self):
         K = self.base
-        pairing = self.pairing.to_json() if hasattr(self.pairing, "to_json") else self.pairing
         return {
             "degree": self.degree,
             "j1": K.elem_to_json(self.j1),
             "j2": K.elem_to_json(self.j2),
-            "pairing": pairing,
+            "pairing": self.pairing.to_json(),
         }
 
 
@@ -133,8 +122,7 @@ def _j_component(base, tag, pieces):
 
 def chow_class(z, allow_out_of_hypothesis=False):
     base = z.base
-    forbidden = {(GA, GM): {2, 3, 5}, (GA, GA): {2}}.get(z.tags, set())
-    _guard_char(base, forbidden, allow_out_of_hypothesis)
+    _guard_char(base, {(GA, GM): "omega", (GA, GA): "jet"}.get(z.tags), allow_out_of_hypothesis)
     degree = sum(c * L.absolute_degree_over(base) for L, _, c in z.terms)
     j1 = _j_component(base, z.tags[0], [(L, cs[0], c) for L, cs, c in z.terms])
     j2 = _j_component(base, z.tags[1], [(L, cs[1], c) for L, cs, c in z.terms])
@@ -181,7 +169,7 @@ def higher_cycle_class(K, a, bs, allow_out_of_hypothesis=False):
     Returns the Milnor data of {b_1,...,b_n} together with both form
     normalizations: (1/a) dlog b_1...dlog b_n and a dlog b_1...dlog b_n.
     """
-    _guard_char(K, {2, 3, 5}, allow_out_of_hypothesis)
+    _guard_char(K, "omega", allow_out_of_hypothesis)
     ss = SymbolSum(K, SUM, [SymbolTerm(1, K, ("Gm",) * len(bs), tuple(bs))])
     milnor = eval_milnor(ss)
     wedge = dlog_wedge(K, bs)

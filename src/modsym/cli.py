@@ -324,8 +324,6 @@ def _cmd_eval(args):
             "dlog": data["dlog"].to_json(),
             "dlog_zero": data["dlog"].is_zero(),
         }
-    if args.allow_out_of_hypothesis:
-        body["outside_theorem_hypotheses"] = True
     return body
 
 
@@ -537,6 +535,8 @@ def main(argv=None):
         body, code = out
     else:
         body, code = out, 0
+    if args.allow_out_of_hypothesis and args.command in ("eval", "chow-class", "higher-class"):
+        body["outside_theorem_hypotheses"] = True
     _emit(body, args.json)
     return code
 

@@ -195,10 +195,6 @@ class _SeriesRing(Field):
             raise ZeroDivisionError("series is not a unit")
         return ptrim(F, pinv_series(F, a, self.B))
 
-    def from_int(self, n):
-        c = self.F.from_int(n)
-        return () if self.F.is_zero(c) else (c,)
-
     # -- the digit interface of _hensel_pair --
 
     def residual(self, fm, G, H):

@@ -466,9 +466,7 @@ def pgcd(field, a, b):
         return _pgcd_fp(field.p, a, b)
     while b:
         a, b = b, pmod(field, a, b)
-    if a:
-        a = pscale(field, a, field.inv(a[-1]))
-    return a
+    return pmonic(field, a)
 
 
 def _pgcd_fp(p, a, b):
@@ -675,11 +673,10 @@ class RatFunField(Field):
             if len(g) > 1:
                 num = pdivmod(K, num, g)[0]
                 den = pdivmod(K, den, g)[0]
-        c = K.inv(den[-1])
-        return (pscale(K, num, c), pscale(K, den, c))
+        return self._make_coprime(num, den)
 
     def _make_coprime(self, num, den):
-        # inputs already coprime with monic or near-monic den
+        # num and den coprime; den is scaled to monic
         K = self.below
         if not num:
             return self.zero
@@ -867,8 +864,6 @@ class ExtField(Field):
         """
         K = self.below
         tk = type(K)
-        if (tk is FpField or tk is QField) and (not a or not b):
-            return self.zero
         if tk is FpField:
             p, m, d = K.p, self.minpoly, self.deg
             out = _int_conv(a, b)
@@ -908,7 +903,7 @@ class ExtField(Field):
         g, s, _ = pxgcd(K, ap, self.minpoly)
         if len(g) != 1:
             raise ZeroDivisionInField("element not invertible (reducible modulus?)")
-        return self.make(pscale(K, s, K.inv(g[0])))
+        return self.make(s)
 
     def from_int(self, n):
         return self.make(pconst(self.below, self.below.from_int(n)))
@@ -1074,9 +1069,7 @@ def _trace_norm(field, a):
 
 
 def _resultant(field, A, B):
-    """Resultant of coefficient-tuple polynomials over a field."""
-    if not A or not B:
-        return field.zero
+    """Resultant of nonzero coefficient-tuple polynomials over a field."""
     da, db = len(A) - 1, len(B) - 1
     if db == 0:
         return field.pow(B[0], da)

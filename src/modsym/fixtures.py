@@ -97,7 +97,7 @@ def _jet_fixture_over(K, a, b, c):
     t = R.from_poly((K.zero, K.one))
     D = Divisor(R, {INF: 2})
     rel = make_relation(R, K, f, [("Ga", R.mul(R.lift(c), t), D), ("Ga", t, D)])
-    relation_jet = eval_jet(rel.symbol_sum, allow_out_of_hypothesis=True)
+    relation_jet = eval_jet(rel.symbol_sum)
 
     target = (
         jet_from_tensor(K, c, ab)
@@ -153,7 +153,7 @@ def _form_fixture_over(K, a, c):
             ("Gm", t, Divisor(R, {zero_pt: 1, INF: 1})),
         ],
     )
-    form = eval_omega(rel.symbol_sum, allow_out_of_hypothesis=True)
+    form = eval_omega(rel.symbol_sum)
     return form.is_zero()
 
 

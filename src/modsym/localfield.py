@@ -96,7 +96,7 @@ class Laurent:
         lo = min(self.lead, other.lead) if (self.coeffs or other.coeffs) else 0
         hi = max(self.lead + len(self.coeffs), other.lead + len(other.coeffs))
         if prec is not None:
-            hi = min(hi, prec) if hi > prec else hi
+            hi = min(hi, prec)
         out = [F.add(self.coeff(e), other.coeff(e)) for e in range(lo, hi)]
         return Laurent(F, self.var, lo, out, prec)
 
@@ -104,9 +104,6 @@ class Laurent:
         return Laurent(
             self.F, self.var, self.lead, [self.F.neg(c) for c in self.coeffs], self.prec
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         F = self.F
@@ -124,11 +121,6 @@ class Laurent:
         if not self.coeffs or not other.coeffs:
             return Laurent(F, self.var, 0, [], prec)
         return Laurent(F, self.var, lead, pmul(F, a, b), prec)
-
-    def scale(self, c):
-        return Laurent(
-            self.F, self.var, self.lead, [self.F.mul(c, x) for x in self.coeffs], self.prec
-        )
 
     def shift(self, k):
         return Laurent(self.F, self.var, self.lead + k, self.coeffs,

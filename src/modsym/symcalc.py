@@ -11,8 +11,8 @@ Omega(n), KM(n)).  Two relation families are implemented:
 The quotient group has no canonical form; equality is certified through the
 evaluation homomorphisms onto differential forms, jets, and Milnor data,
 which are faithful in the characteristics where the corresponding
-isomorphism theorems hold (guarded: jets need char != 2, forms char not in
-{2, 3, 5}).
+isomorphism theorems hold: ``HYPOTHESES`` lists the characteristics each
+evaluation is guarded against.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedField,
     ZeroArgument,
 )
-from .fields import ExtField, field_to_descriptor, make_field, norm_to, trace_norm
+from .fields import ExtField, field_to_descriptor, make_field, trace_norm
 from .kahler import (
     DifferentialForm,
     JetElement,
@@ -167,8 +167,6 @@ def _push_value(L, tag, v):
         return trace_norm(L, v)[0]
     if tag == "Gm":
         return trace_norm(L, v)[1]
-    if tag == "Z":
-        return v  # pushed through the coefficient instead
     raise NoEvaluationMap(f"no transfer implemented for tag {tag!r}")
 
 
@@ -177,48 +175,39 @@ def _try_push(term, base):
     if L == base or not isinstance(L, ExtField):
         return None
     B = L.below
-    images = []
+    values = []
     stranger = None
     for i, (tag, v) in enumerate(zip(term.tags, term.values)):
         if tag == "Z":
-            images.append(v)
+            values.append(v)
             continue
         below = L.in_below_image(v)
         if below is None:
             if stranger is not None:
                 return None  # two slots genuinely upstairs: (R1) does not apply
             stranger = i
-            images.append(None)
-        else:
-            images.append(below)
+        values.append(below)
     if stranger is None:
         stranger = next((i for i, t in enumerate(term.tags) if t != "Z"), None)
         if stranger is None:
             # all slots are Z: push through the degree
             return SymbolTerm(term.coeff * L.deg, B, term.tags, term.values)
-        images[stranger] = None
-    values = list(images)
-    v = term.values[stranger]
-    if images[stranger] is not None:
-        v = L.lift(images[stranger])
-    values[stranger] = _push_value(L, term.tags[stranger], v)
+    values[stranger] = _push_value(L, term.tags[stranger], term.values[stranger])
     if term.tags[stranger] == "Gm" and B.is_zero(values[stranger]):
         return None
     return SymbolTerm(term.coeff, B, term.tags, tuple(values))
 
 
+def _push_down(term, base):
+    """Apply the projection formula one step at a time while it applies."""
+    while (pushed := _try_push(term, base)) is not None:
+        term = pushed
+    return term
+
+
 def r1_reduce(s):
     """Greedy projection-formula rewriting toward the base; idempotent."""
-    out = []
-    for term in s.terms:
-        cur = term
-        while True:
-            nxt = _try_push(cur, s.base)
-            if nxt is None:
-                break
-            cur = nxt
-        out.append(cur)
-    return SymbolSum(s.base, s.convention, out)
+    return SymbolSum(s.base, s.convention, [_push_down(t, s.base) for t in s.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +242,25 @@ def _certify_section(R, tag, g, D):
             )
 
 
+def _integer_section(R, g):
+    """The integer n of a Z section g = n, a constant of R."""
+    F, n = R, g
+    while F.below is not None and n is not None:
+        F, n = F.below, F.in_below_image(n)
+    if n is None or n != int(n):
+        raise ValueError("a Z section must be an integer constant")
+    return int(n)
+
+
 def make_relation(R, base, f, sections, convention=SUM):
     """Build the weighted evaluation sum of a curve relation, fully certified.
 
     ``R`` is RatFunField(L, t) for a finite extension L of ``base``;
     ``sections`` is a list of (tag, g, D) with g in R and D an effective
-    divisor bounding g's local conductors.
+    divisor bounding g's local conductors; a Z section is an integer
+    constant.
     """
+    ints = [_integer_section(R, g) if tag == "Z" else None for tag, g, _ in sections]
     divisors = [D for _, _, D in sections]
     D_total = combine_divisors(divisors, convention)
     if not check_congruence(R, f, D_total):
@@ -278,6 +279,7 @@ def make_relation(R, base, f, sections, convention=SUM):
             raise ConductorCertificateFailure(
                 f"section has a pole at an evaluation point {x!r}"
             )
+        values = [g if n is None else n for g, n in zip(values, ints)]
         terms.append(_term(v, Kx, tags, values))
     ss = SymbolSum(base, convention, terms)
     return RelationInstance(R, base, f, tuple(sections), convention, ss)
@@ -288,7 +290,12 @@ def make_relation(R, base, f, sections, convention=SUM):
 # ---------------------------------------------------------------------------
 
 
-def _guard_char(base, forbidden, allow_out_of_hypothesis):
+# The characteristics outside the isomorphism theorem behind each evaluation.
+HYPOTHESES = {"omega": (2, 3, 5), "jet": (2,)}
+
+
+def _guard_char(base, evaluation, allow_out_of_hypothesis):
+    forbidden = HYPOTHESES.get(evaluation, ())
     if base.char in forbidden and not allow_out_of_hypothesis:
         raise CharacteristicUnsupported(
             f"characteristic {base.char} outside theorem hypotheses {sorted(forbidden)}"
@@ -315,7 +322,7 @@ def _push_form(form, base, coeff):
 
 def eval_omega(s, allow_out_of_hypothesis=False):
     """[a, b_1,...,b_n] -> Tr(a dlog b_1 ^ ... ^ dlog b_n) in Omega^n."""
-    _guard_char(s.base, {2, 3, 5}, allow_out_of_hypothesis)
+    _guard_char(s.base, "omega", allow_out_of_hypothesis)
     total = None
     for term in s.terms:
         if not (term.tags and term.tags[0] == "Ga" and all(t == "Gm" for t in term.tags[1:])):
@@ -330,7 +337,7 @@ def eval_omega(s, allow_out_of_hypothesis=False):
 
 def eval_jet(s, allow_out_of_hypothesis=False):
     """[a, b] with tags (Ga, Ga) -> transferred jet of a tensor b."""
-    _guard_char(s.base, {2}, allow_out_of_hypothesis)
+    _guard_char(s.base, "jet", allow_out_of_hypothesis)
     total = JetElement.zero(s.base)
     for term in s.terms:
         if term.tags != ("Ga", "Ga"):
@@ -459,17 +466,12 @@ def eval_milnor(s, valuation_point=None):
         # dlog image: eval_omega with a = 1
         form = _push_form(dlog_wedge(L, term.values), s.base, term.coeff)
         dlog_total = form if dlog_total is None else dlog_total + form
-        # norm push: direct for arity one, slot-wise reduction otherwise
-        if len(term.values) == 1:
-            norm_pushed.append((term.coeff, [norm_to(L, s.base, term.values[0])]))
-        elif L == s.base:
-            norm_pushed.append((term.coeff, list(term.values)))
+        # norm push: the projection formula, when it reaches the base
+        pushed = _push_down(term, s.base)
+        if pushed.field == s.base:
+            norm_pushed.append((pushed.coeff, list(pushed.values)))
         else:
-            reduced = _try_push(term, s.base)
-            if reduced is not None and reduced.field == s.base:
-                norm_pushed.append((reduced.coeff, list(reduced.values)))
-            else:
-                norm_pushed.append((term.coeff, None))  # no direct norm formula
+            norm_pushed.append((term.coeff, None))
         if valuation_point is not None and L == s.base:
             t = tame_symbol(L, list(term.values), valuation_point)
             tame_data.append((term.coeff, t))
@@ -538,7 +540,7 @@ def kummer_push_local(local, e):
     out = {}
     for mono, lau in local.items():
         F = lau.F
-        if lau.prec is not None and not lau.exact:
+        if not lau.exact:
             prec2 = _ceil_div(lau.prec, e)
         else:
             prec2 = None
