@@ -400,7 +400,7 @@ def _ratfun_factor(K, f):
     an extension F_{q^k}; candidate factors are projected back.
     """
     F = K.below
-    cu = _primitive(F, _clear_ratfun(F, f))
+    cu = _primitive(F, _clear_ratfun(F, f)[0])
     du = max(len(c) - 1 for c in cu if c)
     if du == 0:
         const = ptrim(F, [c[0] if c else F.zero for c in cu])

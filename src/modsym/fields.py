@@ -21,6 +21,13 @@ coefficient field is exactly ``FpField`` or ``QField``, the hot kernels and
 ``ExtField.mul`` take a fast path on plain ints or Fractions with the same
 results; the choice is by exact type, so a field of a subclass of either
 runs the generic per-element loops, which the tests use as the oracle.
+
+Resultants and inverses modulo a monic polynomial (``_resultant``,
+``pinv_mod``, so ``ExtField.inv`` and the norms of ``trace_norm``) over a
+``RatFunField`` K(u) run one fraction-free subresultant PRS on the
+denominator-cleared polynomials over K[u]: exact, with no gcd per step.
+Over every other field they run Euclid, which stays the oracle of the tests
+for K(u) too.  The route follows the field; there is nothing to configure.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ from .errors import (
 PRIME_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Results kept by each memo of an exact kernel (``trace_norm`` here and
-# ``factor.factor``): a fixed bound, so memory stays flat in long runs.
+# Results kept by each memo of an exact kernel (``trace_norm`` and the
+# ``trace`` vectors here, and ``factor.factor``): a fixed bound, so memory
+# stays flat in long runs.
 CACHE_SIZE = 256
 
 
@@ -496,18 +504,19 @@ def _pgcd_fp(p, a, b):
 
 def _pgcd_prs(K, a, b):
     F = K.below
-    A, B = _primitive(F, _clear_ratfun(F, a)), _primitive(F, _clear_ratfun(F, b))
+    A, B = _primitive(F, _clear_ratfun(F, a)[0]), _primitive(F, _clear_ratfun(F, b)[0])
     if len(A) < len(B):
         A, B = B, A
     while B:
-        R = _prem(F, A, B)
+        R, _ = _prem(F, A, B)
         A, B = B, _primitive(F, R)
     return pmonic(K, tuple(K.make(c, (F.one,)) for c in A))
 
 
 def _clear_ratfun(F, poly):
     """A polynomial over F(u) times the lcm of its coefficient denominators:
-    the coefficient list of an associate over F[u], trailing zeros dropped."""
+    the coefficient list of an associate over F[u], trailing zeros dropped,
+    and that lcm."""
     den = (F.one,)
     for _, d in poly:
         g = pgcd(F, den, d)
@@ -515,7 +524,7 @@ def _clear_ratfun(F, poly):
     out = [pmul(F, n, pdivmod(F, den, d)[0]) for n, d in poly]
     while out and not out[-1]:
         out.pop()
-    return out
+    return out, den
 
 
 def _primitive(F, P):
@@ -528,20 +537,87 @@ def _primitive(F, P):
     return P
 
 
-def _prem(F, A, B):
-    """Pseudo-remainder of coefficient-cleared polynomials over F[u]."""
-    dB = len(B) - 1
-    lb = B[-1]
-    A = list(A)
-    while A and len(A) - 1 >= dB:
-        la = A[-1]
-        delta = len(A) - 1 - dB
-        A = [pmul(F, lb, c) for c in A]
-        for i, cb in enumerate(B):
-            A[delta + i] = psub(F, A[delta + i], pmul(F, la, cb))
-        while A and not A[-1]:
-            A.pop()
-    return A
+def _upow(F, a, n):
+    r = (F.one,)
+    for _ in range(n):
+        r = pmul(F, r, a)
+    return r
+
+
+def _exact_quo(F, a, b):
+    q, r = pdivmod(F, a, b)
+    if r:
+        raise ArithmeticError("inexact division in the subresultant PRS")
+    return q
+
+
+def _scale_sub(F, c, X, d, k, Y):
+    """``c*X - d*t^k*Y`` for polynomials over F[u] (lists of F[u] coefficients)."""
+    out = [pmul(F, c, x) for x in X]
+    out += [()] * (k + len(Y) - len(out))
+    for i, y in enumerate(Y):
+        out[k + i] = psub(F, out[k + i], pmul(F, d, y))
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _prem(F, A, B, V=None, W=None):
+    """True pseudo-remainder over F[u]: ``lc(B)^(deg A - deg B + 1) * A mod B``.
+
+    Given cofactors ``V`` of A and ``W`` of B, the same combination of them
+    is returned as the remainder's cofactor, else None.
+    """
+    lb, n = B[-1], len(B)
+    e = max(len(A) - n + 1, 0)
+    while len(A) >= n:
+        la, k = A[-1], len(A) - n
+        A = _scale_sub(F, lb, A[:-1], la, k, B[:-1])  # the leading terms cancel
+        if V is not None:
+            V = _scale_sub(F, lb, V, la, k, W)
+        e -= 1
+    if e:
+        # the degree dropped by more than one in a step: lc(B)^(delta+1) in all
+        c = _upow(F, lb, e)
+        A = [pmul(F, c, x) for x in A]
+        if V is not None:
+            V = [pmul(F, c, x) for x in V]
+    return A, V
+
+
+def _subresultant(F, A, B, cofactor=False):
+    """Subresultant PRS over F[u] (Collins, J. ACM 14, 1967; Brown & Traub,
+    J. ACM 18, 1971), for lists of F[u] coefficients with deg A >= deg B and
+    B nonzero.
+
+    Returns ``(res, b, v)``: ``res`` is Res(A, B), ``b`` the last nonzero
+    remainder (a constant iff ``res`` is nonzero) and, with ``cofactor``,
+    ``v`` with ``v*B == b`` modulo A (else None).  Every step divides
+    exactly by ``g*h^delta`` and takes no gcd.
+    """
+    one = (F.one,)
+    V, W = ([], [one]) if cofactor else (None, None)
+    g = h = one
+    neg = False
+    while len(B) > 1:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        neg ^= bool(dA & dB & 1)
+        R, VR = _prem(F, A, B, V, W)
+        if not R:
+            return (), B, W
+        beta = pmul(F, g, _upow(F, h, delta))
+        if beta != one:
+            R = [_exact_quo(F, c, beta) for c in R]
+            if VR is not None:
+                VR = [_exact_quo(F, c, beta) for c in VR]
+        A, B, V, W = B, R, W, VR
+        g = A[-1]
+        if delta:
+            h = _exact_quo(F, _upow(F, g, delta), _upow(F, h, delta - 1))
+    dA = len(A) - 1
+    res = _exact_quo(F, _upow(F, B[0], dA), _upow(F, h, dA - 1)) if dA else h
+    return (pneg(F, res) if neg else res), B, W
 
 
 def pxgcd(field, a, b):
@@ -558,6 +634,28 @@ def pxgcd(field, a, b):
         c = field.inv(r0[-1])
         r0, s0, t0 = pscale(field, r0, c), pscale(field, s0, c), pscale(field, t0, c)
     return r0, s0, t0
+
+
+def pinv_mod(field, a, m):
+    """``a^-1`` modulo the monic ``m``, of degree below ``deg m``.
+
+    Over K(u), from the subresultant PRS of the cleared ``m`` and ``a``:
+    with ``a = a'/da`` and ``v*a' == b`` mod ``m``, the inverse is
+    ``da*v/b``.  Over any other field, from ``pxgcd``.  Raises
+    ZeroDivisionInField when ``a`` and ``m`` have a common factor.
+    """
+    a = pmod(field, a, m)
+    if a and isinstance(field, RatFunField):
+        F = field.below
+        (A, _), (B, da) = _clear_ratfun(F, m), _clear_ratfun(F, a)
+        res, b, v = _subresultant(F, A, B, cofactor=True)
+        if res:
+            return ptrim(field, [field.make(pmul(F, da, c), b[0]) for c in v])
+    elif a:
+        g, s, _ = pxgcd(field, a, m)
+        if len(g) == 1:
+            return s
+    raise ZeroDivisionInField("element not invertible (reducible modulus?)")
 
 
 def pmonic(field, a):
@@ -850,10 +948,33 @@ class ExtField(Field):
 
     def add(self, a, b):
         K = self.below
+        tk = type(K)
+        if tk is FpField:
+            p = K.p
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        if tk is QField:
+            return tuple([x + y for x, y in zip(a, b)])
         return tuple(K.add(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
-        return tuple(self.below.neg(x) for x in a)
+        K = self.below
+        tk = type(K)
+        if tk is FpField:
+            p = K.p
+            return tuple([-x % p for x in a])
+        if tk is QField:
+            return tuple([-x for x in a])
+        return tuple(K.neg(x) for x in a)
+
+    def sub(self, a, b):
+        K = self.below
+        tk = type(K)
+        if tk is FpField:
+            p = K.p
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        if tk is QField:
+            return tuple([x - y for x, y in zip(a, b)])
+        return tuple(K.sub(x, y) for x, y in zip(a, b))
 
     def mul(self, a, b):
         """Product of two elements.
@@ -900,10 +1021,7 @@ class ExtField(Field):
         ap = ptrim(K, a)
         if not ap:
             raise ZeroDivisionInField("inverse of 0")
-        g, s, _ = pxgcd(K, ap, self.minpoly)
-        if len(g) != 1:
-            raise ZeroDivisionInField("element not invertible (reducible modulus?)")
-        return self.make(s)
+        return self.make(pinv_mod(K, ap, self.minpoly))
 
     def from_int(self, n):
         return self.make(pconst(self.below, self.below.from_int(n)))
@@ -1033,6 +1151,37 @@ def field_to_descriptor(field):
 # ---------------------------------------------------------------------------
 
 
+def trace(field, a):
+    """Trace of ``a`` along the top step, a value in the field below.
+
+    ``field`` must be an ExtField.  The trace is the dot product of the
+    coefficients of ``a`` with the vector of ``Tr(x^i)``, kept for the
+    ``CACHE_SIZE`` most recently used fields.
+    """
+    if not isinstance(field, ExtField):
+        raise NotAlgebraicStep("top step is not algebraic")
+    K = field.below
+    tr = K.zero
+    for c, t in zip(a, _power_traces(field)):
+        tr = K.add(tr, K.mul(c, t))
+    return tr
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _power_traces(field):
+    """``Tr(x^k)`` for ``k < deg``: the power sums of the roots of the monic
+    minimal polynomial m, by Newton's identities
+    ``p_k = -(k m_(d-k) + sum_(0<i<k) m_(d-i) p_(k-i))``."""
+    K, m, d = field.below, field.minpoly, field.deg
+    p = [K.from_int(d)]
+    for k in range(1, d):
+        s = K.mul(K.from_int(k), m[d - k])
+        for i in range(1, k):
+            s = K.add(s, K.mul(m[d - i], p[k - i]))
+        p.append(K.neg(s))
+    return tuple(p)
+
+
 def trace_norm(field, a):
     """Trace and norm of multiplication by ``a`` along the top step.
 
@@ -1049,27 +1198,33 @@ def trace_norm(field, a):
 @lru_cache(maxsize=CACHE_SIZE)
 def _trace_norm(field, a):
     K = field.below
-    d = field.deg
-    # trace: sum of diagonal entries of the multiplication matrix
-    tr = K.zero
-    col = field.one
-    gen = field.gen()
-    for i in range(d):
-        prod = field.mul(a, col)
-        tr = K.add(tr, prod[i])
-        col = field.mul(col, gen)
-    # norm: resultant of the minimal polynomial with a representative
     ap = ptrim(K, a)
-    if not ap:
-        return tr, K.zero
-    nm = _resultant(K, field.minpoly, ap)
-    # Res(m, a) = prod a(roots of m); sign (-1)^(deg m * deg a) already
-    # absorbed since m is monic and we evaluate a at roots of m.
-    return tr, nm
+    # the norm is Res(m, a) = prod of a at the roots of m, as m is monic
+    nm = _resultant(K, field.minpoly, ap) if ap else K.zero
+    return trace(field, a), nm
 
 
 def _resultant(field, A, B):
-    """Resultant of nonzero coefficient-tuple polynomials over a field."""
+    """Resultant of nonzero coefficient-tuple polynomials over a field.
+
+    Over K(u) by the subresultant PRS of the cleared polynomials A', B'
+    (``A = A'/cA``): ``Res(A', B') / (cA^deg B * cB^deg A)``; over any other
+    field by Euclid.
+    """
+    if not isinstance(field, RatFunField):
+        return _euclid_resultant(field, A, B)
+    F = field.below
+    (A, cA), (B, cB) = _clear_ratfun(F, A), _clear_ratfun(F, B)
+    da, db = len(A) - 1, len(B) - 1
+    if da < db:
+        A, B = B, A
+    res = _subresultant(F, A, B)[0]
+    if da < db and da * db % 2:
+        res = pneg(F, res)
+    return field.make(res, pmul(F, _upow(F, cA, db), _upow(F, cB, da)))
+
+
+def _euclid_resultant(field, A, B):
     da, db = len(A) - 1, len(B) - 1
     if db == 0:
         return field.pow(B[0], da)
@@ -1079,13 +1234,13 @@ def _resultant(field, A, B):
     dr = len(r) - 1
     sign = field.from_int(-1) if (da * db) % 2 else field.one
     lead = field.pow(B[-1], da - dr)
-    return field.mul(sign, field.mul(lead, _resultant(field, B, r)))
+    return field.mul(sign, field.mul(lead, _euclid_resultant(field, B, r)))
 
 
 def trace_to(top, base, a):
     """Compose traces step by step from ``top`` down to ``base``."""
     for step in reversed(top.steps_above(base)):
-        a = trace_norm(step, a)[0]
+        a = trace(step, a)
     return a
 
 

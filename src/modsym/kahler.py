@@ -28,7 +28,7 @@ from .fields import (
     pmul,
     psub,
     ptrim,
-    trace_norm,
+    trace,
 )
 
 
@@ -275,7 +275,7 @@ def trace_form(L, form):
         # separable: the basis is unchanged; trace coefficient-wise
         out = {}
         for m, c in form.coords.items():
-            out[m] = trace_norm(L, c)[0]
+            out[m] = trace(L, c)
         return DifferentialForm(K, form.degree, out)
 
     # purely inseparable L = K[x]/(x^p - y):
@@ -388,7 +388,7 @@ def trace_jet(L, jet, route="phi"):
     if not isinstance(L, ExtField):
         raise NotAlgebraicStep("jet transfer requires an algebraic top step")
     K = L.below
-    tr_scalar = trace_norm(L, jet.scalar)[0]
+    tr_scalar = trace(L, jet.scalar)
     if route == "phi":
         return JetElement(K, trace_form(L, jet.omega), tr_scalar)
     if route == "phi_prime":

@@ -31,7 +31,7 @@ from .errors import (
     ZeroFunction,
 )
 from . import factor as _factor
-from .fields import padd, pcompose, pderiv, pinv_series, pmod, pmul, pmultiplicity, psub, pxgcd
+from .fields import padd, pcompose, pderiv, pinv_mod, pinv_series, pmod, pmul, pmultiplicity, psub
 from .kahler import DifferentialForm, differential, dlog
 
 
@@ -231,7 +231,7 @@ def _dt_residue(K, num, den, point):
         Pm = pmul(K, Pm, point)
     # C^-1 mod P, then Newton steps inv * (1 + e) with e = 1 - C * inv, each
     # squaring the error: over F_p(u), Euclid against P^m itself swells
-    inv, k = pxgcd(K, pmod(K, C, point), point)[1], 1
+    inv, k = pinv_mod(K, C, point), 1
     while k < m:
         e = psub(K, (K.one,), pmul(K, C, inv))
         inv, k = pmod(K, pmul(K, inv, padd(K, (K.one,), e)), Pm), 2 * k

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedField,
     ZeroArgument,
 )
-from .fields import ExtField, field_to_descriptor, make_field, trace_norm
+from .fields import ExtField, field_to_descriptor, make_field, trace, trace_norm
 from .kahler import (
     DifferentialForm,
     JetElement,
@@ -164,7 +164,7 @@ def symbol(base, coeff, field, tags, values, convention=SUM):
 def _push_value(L, tag, v):
     """Transfer a single slot down the top step of L."""
     if tag == "Ga":
-        return trace_norm(L, v)[0]
+        return trace(L, v)
     if tag == "Gm":
         return trace_norm(L, v)[1]
     raise NoEvaluationMap(f"no transfer implemented for tag {tag!r}")

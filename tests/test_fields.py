@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modsym.errors import PthPowerRoot, ReduciblePolynomial, ZeroDivisionInField
+from modsym.errors import NotAlgebraicStep, PthPowerRoot, ReduciblePolynomial, ZeroDivisionInField
 from modsym.fields import (
     ExtField,
     FpField,
@@ -16,6 +16,7 @@ from modsym.fields import (
     norm_to,
     pgcd,
     pmul,
+    trace,
     trace_norm,
     trace_to,
 )
@@ -145,6 +146,37 @@ class TestExtField:
             x = E2.rand(rng)
             assert trace_to(E2, F, x) == trace_to(E1, F, trace_norm(E2, x)[0])
             assert norm_to(E2, F, x) == norm_to(E1, F, trace_norm(E2, x)[1])
+
+
+def _extensions():
+    F7, Q = FpField(7), QField()
+    F7u = RatFunField(F7, "u")
+    u = F7u.from_poly((F7.zero, F7.one))
+    return [
+        ExtField(F7, "i", (F7.one, F7.zero, F7.one)),
+        ExtField(Q, "r", (Fraction(-5, 4), Fraction(2, 3), Q.zero, Q.one)),
+        ExtField(F7u, "s", (F7u.neg(u), F7u.one, F7u.zero, F7u.zero, F7u.one)),
+        ExtField(F7u, "x", (F7u.neg(u),) + (F7u.zero,) * 6 + (F7u.one,)),  # inseparable
+    ]
+
+
+@pytest.mark.parametrize("E", _extensions(), ids=repr)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_trace_is_the_trace_of_the_multiplication_matrix(E, seed):
+    a = E.rand(random.Random(seed))
+    K, x = E.below, E.gen()
+    col, diag = E.one, K.zero
+    for i in range(E.deg):
+        diag = K.add(diag, E.mul(a, col)[i])
+        col = E.mul(col, x)
+    assert trace(E, a) == diag == trace_norm(E, a)[0]
+
+
+def test_trace_needs_an_algebraic_top_step(F7u):
+    for fn in (trace, trace_norm):
+        with pytest.raises(NotAlgebraicStep):
+            fn(F7u, F7u.one)
 
 
 class TestDescriptors:

@@ -1,10 +1,10 @@
-"""The F_p and Q fast paths of the polynomial kernels and of ``ExtField.mul``
-agree with the generic per-element loops.
+"""The F_p and Q fast paths of the polynomial kernels and of ``ExtField``
+arithmetic agree with the generic per-element loops.
 
 The kernels choose a fast path by the exact type of the field, so a field
 of a subclass of ``FpField`` or ``QField`` runs the generic code: that is
 the oracle here, for ``pxgcd`` (built on the other kernels) and for
-``ExtField.mul`` over such a base (``make(pmul(...))``) as well.
+``ExtField.mul``, ``add``, ``neg`` and ``sub`` over such a base as well.
 """
 
 from fractions import Fraction
@@ -172,6 +172,15 @@ def test_ext_mul(case):
     prod = E.mul(a, b)
     assert prod == G.mul(a, b)
     assert len(prod) == E.deg
+
+
+@given(ext_elems())
+@settings(max_examples=200, deadline=None)
+def test_ext_add_neg_sub(case):
+    E, G, a, b = case
+    assert E.add(a, b) == G.add(a, b)
+    assert E.neg(a) == G.neg(a)
+    assert E.sub(a, b) == G.sub(a, b) == E.add(a, E.neg(b))
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))
