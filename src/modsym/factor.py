@@ -63,6 +63,7 @@ from .fields import (
     pxgcd,
     _clear_denominators,
     _clear_ratfun,
+    _exact_quo,
     _int_conv,
     _is_prime,
     _primitive,
@@ -70,13 +71,6 @@ from .fields import (
 )
 
 _RNG_SEED = 20260824
-
-
-def _pquo(field, a, b):
-    q, r = pdivmod(field, a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 def elems(field):
@@ -131,7 +125,7 @@ def _edf(field, f, d, rng):
                 tr = padd(field, tr, sq)
             g = pgcd(field, tr, f)
         if 1 < len(g) < len(f):
-            return _edf(field, g, d, rng) + _edf(field, _pquo(field, f, g), d, rng)
+            return _edf(field, g, d, rng) + _edf(field, _exact_quo(field, f, g), d, rng)
 
 
 def _cz_factor(field, f):
@@ -148,7 +142,7 @@ def _cz_factor(field, f):
         g = pgcd(field, psub(field, h, x), f)
         if len(g) > 1:
             pieces.append((g, d))
-            f = _pquo(field, f, g)
+            f = _exact_quo(field, f, g)
             h = pmod(field, h, f)
     if len(f) > 1:
         pieces.append((f, len(f) - 1))
@@ -269,7 +263,7 @@ def _hensel_pair(R, F, fm, g, h):
         if not ek:
             continue
         r = pmod(F, pmul(F, ek, tb), g)
-        A = _pquo(F, psub(F, ek, pmul(F, r, h)), g)
+        A = _exact_quo(F, psub(F, ek, pmul(F, r, h)), g)
         G = R.bump(G, r, k)
         H = R.bump(H, A, k)
     return G, H
@@ -585,7 +579,7 @@ def _factor_monic(field, f):
                 out[ptrim(field, qp)] = out.get(ptrim(field, qp), 0) + m
         return out
     g = pgcd(field, f, df)
-    sf = _pquo(field, f, g) if len(g) > 1 else f
+    sf = _exact_quo(field, f, g) if len(g) > 1 else f
     rem = f
     for q in factor_squarefree(field, sf):
         m, rem = pmultiplicity(field, rem, q)

@@ -22,12 +22,13 @@ coefficient field is exactly ``FpField`` or ``QField``, the hot kernels and
 results; the choice is by exact type, so a field of a subclass of either
 runs the generic per-element loops, which the tests use as the oracle.
 
-Resultants and inverses modulo a monic polynomial (``_resultant``,
-``pinv_mod``, so ``ExtField.inv`` and the norms of ``trace_norm``) over a
-``RatFunField`` K(u) run one fraction-free subresultant PRS on the
-denominator-cleared polynomials over K[u]: exact, with no gcd per step.
-Over every other field they run Euclid, which stays the oracle of the tests
-for K(u) too.  The route follows the field; there is nothing to configure.
+Gcds, resultants and inverses modulo a monic polynomial (``pgcd``,
+``_resultant``, ``pinv_mod``, so ``RatFunField`` arithmetic over K(u),
+``ExtField.inv`` and the norms of ``trace_norm``) over a ``RatFunField``
+K(u) run one fraction-free subresultant PRS on the denominator-cleared
+polynomials over K[u]: exact, with no gcd per step.  Over every other field
+they run Euclid, which stays the oracle of the tests for K(u) too.  The
+route follows the field; there is nothing to configure.
 """
 
 from __future__ import annotations
@@ -463,13 +464,18 @@ def pgcd(field, a, b):
     """Monic gcd of two polynomials (``()`` when both are zero).
 
     Over F_p this is one Euclid loop on int lists that reduces the
-    remainder in place and keeps no quotient.
+    remainder in place and keeps no quotient.  Over K(u) it is the primitive
+    part of the last nonzero remainder of the subresultant PRS of the
+    denominator-cleared polynomials over K[u].
     """
-    # fraction-field coefficients: Euclid's algorithm swells intermediate
-    # denominators badly, so route through a primitive pseudo-remainder
-    # sequence on the cleared integral model instead
-    if isinstance(field, RatFunField) and (len(a) > 2 or len(b) > 2):
-        return _pgcd_prs(field, a, b)
+    if isinstance(field, RatFunField):
+        F = field.below
+        A, B = _clear_ratfun(F, a)[0], _clear_ratfun(F, b)[0]
+        if len(A) < len(B):
+            A, B = B, A
+        if B:
+            A = _subresultant(F, A, B)[1]
+        return pmonic(field, tuple(field.make(c, (F.one,)) for c in _primitive(F, A)))
     if type(field) is FpField:
         return _pgcd_fp(field.p, a, b)
     while b:
@@ -500,17 +506,6 @@ def _pgcd_fp(p, a, b):
         inv = pow(a[-1], p - 2, p)
         a = [x * inv % p for x in a]
     return tuple(a)
-
-
-def _pgcd_prs(K, a, b):
-    F = K.below
-    A, B = _primitive(F, _clear_ratfun(F, a)[0]), _primitive(F, _clear_ratfun(F, b)[0])
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R, _ = _prem(F, A, B)
-        A, B = B, _primitive(F, R)
-    return pmonic(K, tuple(K.make(c, (F.one,)) for c in A))
 
 
 def _clear_ratfun(F, poly):
@@ -547,7 +542,7 @@ def _upow(F, a, n):
 def _exact_quo(F, a, b):
     q, r = pdivmod(F, a, b)
     if r:
-        raise ArithmeticError("inexact division in the subresultant PRS")
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -593,7 +588,9 @@ def _subresultant(F, A, B, cofactor=False):
     Returns ``(res, b, v)``: ``res`` is Res(A, B), ``b`` the last nonzero
     remainder (a constant iff ``res`` is nonzero) and, with ``cofactor``,
     ``v`` with ``v*B == b`` modulo A (else None).  Every step divides
-    exactly by ``g*h^delta`` and takes no gcd.
+    exactly by ``g*h^delta`` and takes no gcd.  ``_resultant`` reads
+    ``res``, ``pinv_mod`` reads ``b`` and ``v``, and ``pgcd`` reads ``b``,
+    an associate of gcd(A, B).
     """
     one = (F.one,)
     V, W = ([], [one]) if cofactor else (None, None)

@@ -1,11 +1,12 @@
 """The subresultant PRS over K(u) agrees with Euclid.
 
-Over a rational-function field K(u), ``_resultant`` and ``pinv_mod`` (and so
-``ExtField.inv`` and the residues of ``localfield``) run the fraction-free
-subresultant PRS on the denominator-cleared polynomials over K[u].  Euclid
-over K(u) is the oracle: ``_euclid_resultant`` for the resultant and
-``pxgcd`` for the inverse.  Both sides return canonical forms, so equality
-is exact.  Inputs stay small, as Euclid over K(u) swells.
+Over a rational-function field K(u), ``pgcd``, ``_resultant`` and
+``pinv_mod`` (and so ``RatFunField`` arithmetic over K(u), ``ExtField.inv``
+and the residues of ``localfield``) run the fraction-free subresultant PRS
+on the denominator-cleared polynomials over K[u].  Euclid over K(u) is the
+oracle: ``_euclid_resultant`` for the resultant and ``pxgcd`` for the gcd
+and the inverse.  Both sides return canonical forms, so equality is exact.
+Inputs stay small, as Euclid over K(u) swells.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from modsym.fields import (
     _euclid_resultant,
     _resultant,
     peval,
+    pgcd,
     pinv_mod,
     pmod,
     pmonic,
@@ -186,3 +188,66 @@ def test_degree_four_inverse_and_resultant_over_q_u():
         # the specialisation keeps both degrees, so it commutes with Res
         assert at(m[-1]) and at(a[-1])
         assert at(res) == _euclid_resultant(Q, [at(x) for x in m], [at(x) for x in a])
+
+
+def _check_gcd(K, a, b):
+    expected = pxgcd(K, a, b)[0]
+    assert pgcd(K, a, b) == expected
+    assert pgcd(K, b, a) == expected
+
+
+@given(st.one_of(cases(), cases(common_factor=True)))
+@settings(max_examples=100, deadline=None)
+def test_gcd_matches_euclid(case):
+    _check_gcd(*case)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_gcd_zero_and_constant_arguments(name):
+    K = FIELDS[name]
+    u = _elem(K, [0, 1])
+    a = (_elem(K, [1], [0, 1]), _elem(K, [2, 1], [1, 1]))  # (u+2)/(u+1) t + 1/u
+    _check_gcd(K, a, ())
+    _check_gcd(K, (), ())
+    _check_gcd(K, (u,), a)
+    _check_gcd(K, (_elem(K, [1], [1, 1]),), ())
+    assert pgcd(K, a, ()) == pmonic(K, a) and pgcd(K, (u,), a) == (K.one,)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_gcd_of_linear_arguments(name):
+    K = FIELDS[name]
+    u = _elem(K, [0, 1])
+    a = (u, K.one)  # t + u
+    _check_gcd(K, a, (K.one, _elem(K, [1], [0, 1])))  # t/u + 1: coprime to a
+    _check_gcd(K, a, (_elem(K, [0, 2], [1, 1]), _elem(K, [2], [1, 1])))  # 2(t+u)/(u+1)
+    assert pgcd(K, a, pmul(K, a, (_elem(K, [3], [0, 1]),))) == a
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_gcd_non_normal_prs(name):
+    # as in test_non_normal_prs, a mod b drops from degree 4 to 1; times the
+    # common factor g the drop is from 5 to 2
+    K = FIELDS[name]
+    u = _elem(K, [0, 1])
+    a = (K.one, u, K.zero, K.zero, K.zero, K.one)
+    b = (_elem(K, [0, 0, 2], [1, 1]), K.zero, K.zero, K.zero, _elem(K, [2], [0, 1]))
+    g = (_elem(K, [1], [1, 1]), u, K.one)
+    ag, bg = pmul(K, a, g), pmul(K, b, g)
+    assert len(pmod(K, ag, bg)) <= len(bg) - 3
+    _check_gcd(K, a, b)
+    _check_gcd(K, ag, bg)
+    assert pgcd(K, ag, bg) == pmonic(K, g)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_gcd_common_factor_and_denominators(name):
+    K = FIELDS[name]
+    u = _elem(K, [0, 1])
+    g = (_elem(K, [1], [0, 1]), K.one)  # t + 1/u
+    a = (_elem(K, [1], [1, 1]), _elem(K, [0, 1], [2, 0, 1]), K.one)
+    b = (_elem(K, [3, 1], [0, 1]), _elem(K, [1], [1, 0, 1]), _elem(K, [1, 2], [1, 1]))
+    _check_gcd(K, a, b)
+    _check_gcd(K, pmul(K, g, (u, K.zero, K.one)), pmul(K, g, (K.one, u)))
+    _check_gcd(K, pmul(K, g, a), pmul(K, pmul(K, g, g), b))
+    assert pgcd(K, pmul(K, g, a), pmul(K, g, b)) == pmul(K, g, pgcd(K, a, b))
