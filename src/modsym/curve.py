@@ -157,6 +157,12 @@ def divisor_of(R, f):
     return Divisor(R, supp)
 
 
+def parameter(R, point):
+    """The local parameter at a closed point: P at a finite point P, else 1/t."""
+    K = R.below
+    return R.inv(R.from_poly((K.zero, K.one))) if point == INF else R.from_poly(point)
+
+
 def valuation_at(R, f, point):
     """v_x(f) for nonzero f, without a full factorization."""
     if R.is_zero(f):

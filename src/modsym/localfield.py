@@ -12,16 +12,16 @@ included, the traced residue is one coefficient of a remainder in K[t]
 (``_dt_residue``), with the sign at infinity that makes the full
 reciprocity sum vanish; they read dt off the last slot of a form's keys.
 No user sets a precision: ``section_conductor`` reads an exact valuation and
-expands only a Ga pole part, to precision 1; ``form_conductor`` writes dt as
-ds + d(theta) and expands each coefficient just past its valuation, at
-separable points (``localize_form`` says where a form with dt is refused).
+expands only a Ga pole part, to precision 1; ``form_conductor`` expands
+nothing, as it reads valuations in K(t) on a basis of Omega(log x)
+(``_log_basis``), at every closed point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .curve import INF, residue_field, valuation_at
+from .curve import INF, parameter, residue_field, valuation_at
 from .errors import (
     InseparableResiduePoint,
     InsufficientPrecision,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from . import factor as _factor
 from .fields import padd, pcompose, pderiv, pinv_mod, pinv_series, pmod, pmul, pmultiplicity, psub
-from .kahler import DifferentialForm, differential, dlog
+from .kahler import DifferentialForm, basis_vars, differential, dlog
 
 
 class Laurent:
@@ -179,9 +179,7 @@ def expand_at(R, f, point, prec):
     K = R.below
     if point != INF and len(point) > 2 and not pderiv(K, point):
         raise InseparableResiduePoint("residue field is inseparable over the base")
-    s = "s"  # the local parameter, named apart from the variables of K
-    while s in K.var_names():
-        s += "'"
+    s = _parameter_name(R, R.var)
     num, den = f
     if not num:
         return Laurent(K, s, 0, [])
@@ -417,13 +415,11 @@ def conductor(tag, data):
 
 
 def form_conductor(R, form, point):
-    """Exact Omega conductor of a form over K(t) at a separable point or inf."""
-    # a coefficient's valuation is resolved at one past it; at infinity
-    # dt = -s^{-2} ds takes two more.  The coefficients are those after the
-    # rewrite of dt, whose valuations cancellation can raise.
-    coeffs = _with_dtheta(R, form, point).coords.values()
-    need = 1 + max((valuation_at(R, c, point) for c in coeffs), default=0)
-    local = localize_form(R, form, point, prec=max(need, 3 if point == INF else 1))
+    """Exact Omega conductor at any closed point: ``conductor_omega`` reads
+    each coefficient on the log basis as the monomial of its valuation."""
+    K = R.below
+    s, coords = _log_basis(R, form, parameter(R, point))
+    local = {m: Laurent(K, s, valuation_at(R, c, point), (K.one,)) for m, c in coords.items()}
     return conductor_omega(local, form.degree)
 
 
@@ -438,45 +434,47 @@ def hi_criterion(tag, samples):
 
 
 def localize_form(R, form, point, prec):
-    """Expand a form over K(t) at a point into Laurent-coefficient data.
-
-    Returns {monomial: Laurent} where dt has been rewritten in terms of the
-    local parameter: dt = ds + d(theta) at finite points (t = theta + s, see
-    ``_with_dtheta``), -s^{-2} ds at infinity.  At a separable point the
-    residue field adds no differential, so the monomial basis is that of K;
-    ``expand_at`` refuses inseparable points.
+    """Expand a form over K(t) at a point into Laurent-coefficient data,
+    on ``_log_basis`` for pi the s of ``expand_at`` (P at a rational point,
+    1/t at infinity).  At a point of degree >= 2, t = theta + s gives
+    ds = dt - d(theta), so pi = t where d(theta) = 0 (dP has only dt), and
+    a form with dt is refused elsewhere.
     """
-    out = {}
-    for m, c in _with_dtheta(R, form, point).coords.items():
-        lau = expand_at(R, c, point, prec=prec)
-        if m[-1:] == (R.var,):
-            if point == INF:
-                lau = -lau.shift(-2)
-            # ds moves to the front past len(rest) slots; its key cannot
-            # collide with a key of K, as s is named apart from K's variables
-            rest = m[:-1]
-            if len(rest) % 2:
-                lau = -lau
-            m = (lau.var,) + rest
-        out[m] = lau
-    return {m: l for m, l in out.items() if not l.is_known_zero()}
+    pi = parameter(R, point)
+    if point != INF and len(point) > 2:
+        if any(R.var in m for m in form.coords) and set(differential(R, pi).coords) != {(R.var,)}:
+            raise UnsupportedField("d(theta) != 0 at the point: ds = dt - d(theta) not localized")
+        pi = R.from_poly((R.below.zero, R.below.one))
+    return {m: expand_at(R, c, point, prec=prec) for m, c in _log_basis(R, form, pi)[1].items()}
 
 
-def _with_dtheta(R, form, point):
-    """The form with dt = ds + d(theta) at t = theta + s, ds still named dt.
+def _parameter_name(R, pivot):
+    """s, primed past K's variables, and past t where ds does not replace dt."""
+    taken = R.below.var_names() + ([] if pivot == R.var else [R.var])
+    s = "s"
+    while s in taken:
+        s += "'"
+    return s
 
-    At a rational point each c rest^dt gains c rest^d(theta).  A form with
-    dt at a point of degree >= 2 with d(theta) != 0 is refused.
+
+def _log_basis(R, form, pi):
+    """(s, coords): the form with d(pi), first and named s, in place of
+    d(v), v the last basis variable with a nonzero coefficient c in d(pi).
+
+    v is t unless d(pi) has no dt.  For pi = P monic irreducible, c is a
+    polynomial of degree < deg P, a unit at P, and exists (P' if P is
+    separable, else some du_i, as P is not in K^p[t^p]); d(pi) = P dlog P
+    then gives a basis of Omega(log P).  At infinity pi = 1/t and v = t.
     """
-    if point == INF or not any(m[-1:] == (R.var,) for m in form.coords):
-        return form
-    dP = [differential(R, R.lift(c)) for c in point[:-1]]
-    if all(d.is_zero() for d in dP):
-        return form
-    if len(point) > 2:
-        raise UnsupportedField("d(theta) != 0 at the point: dt = ds + d(theta) not localized")
-    out = form
-    for m, c in form.coords.items():
-        if m[-1:] == (R.var,):  # theta = -point[0], so d(theta) = -dP[0]
-            out = out - DifferentialForm(R, len(m) - 1, {m[:-1]: c}).wedge(dP[0])
-    return out
+    dpi = differential(R, pi)
+    v = [w for w in basis_vars(R) if (w,) in dpi.coords][-1]
+    # form = plain + c d(v) ^ eta, where c d(v) = d(pi) - others
+    inv = R.inv(dpi.coords[(v,)])
+    signs = (inv, R.neg(inv))  # d(v) moves to the front from slot i: (-1)^i
+    eta = DifferentialForm(R, form.degree - 1, {
+        tuple(w for w in m if w != v): R.mul(c, signs[m.index(v) % 2])
+        for m, c in form.coords.items() if v in m})
+    others = DifferentialForm(R, 1, {m: c for m, c in dpi.coords.items() if m != (v,)})
+    plain = DifferentialForm(R, form.degree, {m: c for m, c in form.coords.items() if v not in m})
+    s = _parameter_name(R, v)
+    return s, {**{(s,) + m: c for m, c in eta.coords.items()}, **(plain - others.wedge(eta)).coords}

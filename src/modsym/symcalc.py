@@ -27,6 +27,7 @@ from .curve import (
     combine_divisors,
     divisor_of,
     evaluate_at,
+    parameter,
     residue_field,
     valuation_at,
 )
@@ -366,12 +367,9 @@ def omega_section(base, a, bs):
 def _tame_expand(K, pi_point, entries):
     """Multilinear expansion into (coeff, [('pi',) | ('u', unit)]) pieces."""
     pieces = [(1, [])]
+    pi = parameter(K, pi_point)
     for b in entries:
         e = valuation_at(K, b, pi_point)
-        if pi_point == INF:
-            pi = K.inv(K.from_poly((K.below.zero, K.below.one)))
-        else:
-            pi = K.make(pi_point, (K.below.one,))
         unit = K.div(b, K.pow(pi, e))
         new = []
         for coeff, slots in pieces:
@@ -521,10 +519,8 @@ def conductor_subadditivity_check(R, entries, point, convention=SUM, ram_e=1):
 
     a = entries[0][1]
     form = dlog_wedge(R, [g for _, g in entries[1:]]).scale(a)
-    # a pushed level reads only exponents below e - 1 (with ds) or below 0
-    # (without); at infinity dt = -s^-2 ds takes two more
-    prec = max(ram_e - 1, 1) + (2 if point == INF else 0)
-    local = kummer_push_local(localize_form(R, form, point, prec=prec), ram_e)
+    # a pushed level reads only exponents below e - 1 (with ds) or 0 (without)
+    local = kummer_push_local(localize_form(R, form, point, prec=max(ram_e - 1, 1)), ram_e)
     n = len(entries) - 1
     c_eval = conductor_omega(local, n).result
     return SubadditivityReport(cs, bound, c_eval, c_eval <= bound)

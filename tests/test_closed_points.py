@@ -7,8 +7,7 @@
   depend on ``PYTHONHASHSEED``;
 * ``curve.boundary_values`` feeds both ``make_relation`` and
   ``rat_equiv_zero``, each keeping its own error class;
-* Omega conductors answer at separable points of any degree (a form with dt
-  is refused where the point's coordinate has a differential), the
+* Omega conductors answer at separable points of any degree, the
   subadditivity probe resolves coefficients of high valuation, and the local
   parameter is named apart from the tower's variables.
 """
@@ -28,7 +27,7 @@ from hypothesis import strategies as st
 from modsym import chow, cli
 from modsym.chow import GA, GM
 from modsym.curve import Divisor, boundary_values, valuation_at
-from modsym.errors import ConductorCertificateFailure, PointOnDivisor, UnsupportedField
+from modsym.errors import ConductorCertificateFailure, PointOnDivisor
 from modsym.fields import ExtField, FpField, QField, RatFunField, pdivmod, pmul, pmultiplicity, ptrim
 from modsym.kahler import DifferentialForm, differential, dlog
 from modsym.localfield import conductor_omega, form_conductor, localize_form
@@ -242,11 +241,10 @@ def test_omega_conductor_matches_valuations(field, points):
                 du = DifferentialForm(R, 1, {(K.var,): c})
                 assert form_conductor(R, du, P).result == _level(v, False)
             # t = theta + s gives dt = ds + d(theta); d(theta) vanishes when P
-            # has constant coefficients, and a dt form is refused otherwise
+            # has constant coefficients, and otherwise its du term sets the level
             dt = DifferentialForm(R, 1, {(R.var,): c})
             if any(differential(K, a).coords for a in P):
-                with pytest.raises(UnsupportedField):
-                    form_conductor(R, dt, P)
+                assert form_conductor(R, dt, P).result == _level(v, False)
             else:
                 assert form_conductor(R, dt, P).result == _level(v, True)
 
@@ -256,7 +254,9 @@ def test_dt_refused_where_theta_has_a_differential(capsys):
     argv = ["conductor", "--tag", "Omega(1)", "--field", "F5(u)(t)", "--f", "1/(t^2-u)",
             "--point", "t^2-u"]
     code, body = cli_json(capsys, *argv, "--dlog", "t")
-    assert (code, body["error"]) == (2, "UnsupportedField")
+    assert (code, body) == (0, {"characteristic": 5, "result": 2, "tag": "Omega(1)",
+                                "witness": {"s": {"level": 1, "valuation": -1},
+                                            "u": {"level": 2, "valuation": -1}}})
     # without dt, the form is localized
     code, body = cli_json(capsys, *argv, "--dlog", "u")
     assert (code, body["result"]) == (0, 2)
