@@ -11,7 +11,19 @@ Routes:
                                            in F[[u - c]] + subset recombination
                                            (F_q(u) moves to F_{q^k} when no
                                            point of F_q is good)
-* separable K[x]/(m) over the above     -- norm-based reduction (resultants)
+* separable K[x]/(m) over the above     -- norm-based reduction (Trager):
+                                           the squarefree norm of f(t + s*x)
+                                           is factored over K, and f is kept
+                                           whole when that norm is irreducible
+* Q(α) = Q[x]/(m)                       -- first, f is kept whole when its
+                                           image in F_p at an unramified
+                                           prime (p, α - r) of degree 1 is
+                                           irreducible (Ben-Or's test), as
+                                           a factorization would reduce;
+                                           else Trager as above
+
+The image check sits in ``factor_squarefree``, so ``_ext_factor`` called
+directly runs Trager alone, the oracle of the tests.
 
 Every factor found by recombination is certified by exact division (von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 15-16).
@@ -51,6 +63,7 @@ from .fields import (
     pdivmod,
     peval,
     pgcd,
+    pinv_mod,
     pinv_series,
     pmod,
     pmonic,
@@ -60,12 +73,13 @@ from .fields import (
     ppow_mod,
     psub,
     ptrim,
-    pxgcd,
     _clear_denominators,
     _clear_ratfun,
     _exact_quo,
+    _fp_images,
     _int_conv,
     _is_prime,
+    _pgcd_fp,
     _primitive,
     _resultant,
 )
@@ -150,6 +164,30 @@ def _cz_factor(field, f):
     for g, d in pieces:
         out.extend(_edf(field, g, d, rng))
     return out
+
+
+def _fp_irreducible(F, f):
+    """Whether the monic ``f`` of degree n >= 2 over F_p is irreducible: no
+    ``gcd(x^(p^k) - x, f)`` with ``k <= n/2`` is nontrivial (Ben-Or 1981),
+    and the first one that is ends the test.  After ``x^p``, each Frobenius
+    step is linear, ``h(x)^p = h(x^p)``, on the rows ``x^(ip) mod f``."""
+    p, n = F.p, len(f) - 1
+    x = (0, 1)
+    h = xp = ppow_mod(F, x, p, f)
+    for k in range(n // 2):
+        if k == 1:
+            rows = [(1,), xp]
+            while len(rows) < n:
+                rows.append(pmod(F, pmul(F, rows[-1], xp), f))
+        if k:
+            acc = [0] * n
+            for c, row in zip(h, rows):
+                for i, y in enumerate(row):
+                    acc[i] += c * y
+            h = ptrim(F, [c % p for c in acc])
+        if len(_pgcd_fp(p, psub(F, h, x), f)) > 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +294,7 @@ def _hensel_pair(R, F, fm, g, h):
 
     R is ``_SeriesRing`` (w-adic digits) or ``_PadicRing`` (p-adic digits).
     """
-    _, _, tb = pxgcd(F, g, h)
+    tb = pinv_mod(F, h, g)
     G, H = R.bump((), g, 0), R.bump((), h, 0)
     for k in range(1, R.B):
         ek = R.digit(R.residual(fm, G, H), k)
@@ -516,6 +554,8 @@ def _ext_factor(L, f):
         if len(pgcd(K, N_poly, pderiv(K, N_poly))) > 1:
             continue
         sub_factors = factor_squarefree(K, N_poly)
+        if len(sub_factors) == 1:
+            return [f]  # an irreducible norm: f is irreducible
         out = []
         back = ptrim(L, (L.make((K.zero, K.neg(s))), L.one))  # t - s*x
         for Ni in sub_factors:
@@ -552,6 +592,11 @@ def factor_squarefree(field, f):
             return _ratfun_factor(field, f)
         raise UnsupportedField("rational functions over an unsupported base")
     if isinstance(field, ExtField) and not field.inseparable:
+        # over Q(α): f is irreducible if its image at an unramified prime
+        # (p, α - r) of degree 1 is, as a factorization would reduce there
+        for F, unramified, (img,) in _fp_images(field, f):
+            if unramified and _fp_irreducible(F, img):
+                return [f]
         return _ext_factor(field, f)
     raise UnsupportedField(f"factorization over {field!r} is not implemented")
 

@@ -27,12 +27,16 @@ Gcds, resultants and inverses modulo a monic polynomial (``pgcd``,
 ``ExtField.inv`` and the norms of ``trace_norm``) over a ``RatFunField``
 K(u) run one fraction-free subresultant PRS on the denominator-cleared
 polynomials over K[u]: exact, with no gcd per step.  Over every other field
-they run Euclid, which stays the oracle of the tests for K(u) too.  The
+they run Euclid (``pinv_mod`` keeping only the one cofactor it returns),
+and ``pxgcd`` stays the oracle of the tests for K(u) too.  Over Q and over
+Q(α) by a simple step over Q, ``pgcd`` first reads both polynomials in F_p
+(``_fp_images``) and answers 1 when the images prove them coprime.  The
 route follows the field; there is nothing to configure.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -466,7 +470,13 @@ def pgcd(field, a, b):
     Over F_p this is one Euclid loop on int lists that reduces the
     remainder in place and keeps no quotient.  Over K(u) it is the primitive
     part of the last nonzero remainder of the subresultant PRS of the
-    denominator-cleared polynomials over K[u].
+    denominator-cleared polynomials over K[u].  Over Q, and over Q(α) by a
+    simple step over Q, nonzero ``a`` and ``b`` are first read in F_p at
+    the first point of ``_fp_images`` where both leading coefficients
+    survive: if the images are coprime, so are ``a`` and ``b`` (Res(a, b)
+    maps to the nonzero Res of the images; Brown, J. ACM 18, 1971), and the
+    answer is 1.  Otherwise it is Euclid, as over every field not named
+    here; ``pxgcd`` stays the oracle of the tests.
     """
     if isinstance(field, RatFunField):
         F = field.below
@@ -478,6 +488,12 @@ def pgcd(field, a, b):
         return pmonic(field, tuple(field.make(c, (F.one,)) for c in _primitive(F, A)))
     if type(field) is FpField:
         return _pgcd_fp(field.p, a, b)
+    if a and b:
+        for F, _, (A, B) in _fp_images(field, a, b):
+            if A[-1] and B[-1]:
+                if len(_pgcd_fp(F.p, A, B)) == 1:
+                    return (field.one,)
+                break
     while b:
         a, b = b, pmod(field, a, b)
     return pmonic(field, a)
@@ -506,6 +522,79 @@ def _pgcd_fp(p, a, b):
         inv = pow(a[-1], p - 2, p)
         a = [x * inv % p for x in a]
     return tuple(a)
+
+
+# Word-size primes at which ``_fp_images`` reads polynomials over Q and
+# Q(α): the eight smallest above 2^30, whose few set bits make the x^p of an
+# irreducibility test cheap to raise.
+_IMAGE_PRIMES = (
+    1073741827, 1073741831, 1073741833, 1073741839,
+    1073741843, 1073741857, 1073741891, 1073741909,
+)
+
+
+def _fp_images(field, *polys):
+    """Images of nonzero polynomials over Q, or over Q(α) by a simple step
+    over Q, in F_p: one ``(Fp, unramified, images)`` per point of
+    ``_image_points`` at which every denominator in ``polys`` is prime to
+    p, ``images`` holding one untrimmed int list per polynomial.  Over any
+    other field there is no point.
+    """
+    if type(field) is not QField and not (
+        type(field) is ExtField and type(field.below) is QField
+    ):
+        return
+    for F, r, unramified in _image_points(field):
+        images = [_fp_image(F.p, r, poly) for poly in polys]
+        if None not in images:
+            yield F, unramified, images
+
+
+def _fp_image(p, r, poly):
+    """``poly`` with each coefficient read in F_p (an element of Q(α) at
+    α = r when ``r`` is not None), or None if a denominator is divisible
+    by p."""
+    out = []
+    for c in poly:
+        v = 0
+        for x in (c,) if r is None else reversed(c):
+            n, d = x.numerator, x.denominator
+            if d != 1:
+                if d % p == 0:
+                    return None
+                n *= pow(d, -1, p)
+            v = n if r is None else v * r + n
+        out.append(v % p)
+    return out
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _image_points(field):
+    """The points ``(Fp, r, unramified)`` of ``_fp_images``: over Q one per
+    prime of ``_IMAGE_PRIMES`` (``r`` None); over Q(α) one per root ``r`` of
+    the minimal polynomial m mod p, for the primes at which m is p-integral,
+    with ``unramified`` true when m is squarefree mod p.  Then α -> r maps
+    the p-integral elements of Q(α) onto F_p, and when m is squarefree mod
+    p, (p, α - r) is an unramified prime of degree 1.
+    """
+    from .factor import _RNG_SEED, _edf  # deferred: factor imports this module
+
+    out = []
+    for p in _IMAGE_PRIMES:
+        F = FpField(p)
+        if type(field) is QField:
+            out.append((F, None, True))
+            continue
+        if any(c.denominator % p == 0 for c in field.minpoly):
+            continue
+        m = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in field.minpoly)
+        x = (0, 1)
+        linear = _pgcd_fp(p, psub(F, ppow_mod(F, x, p, m), x), m)
+        if len(linear) > 1:
+            unramified = len(_pgcd_fp(p, m, pderiv(F, m))) == 1
+            roots = (-g[0] % p for g in _edf(F, linear, 1, random.Random(_RNG_SEED)))
+            out.extend((F, r, unramified) for r in sorted(roots))
+    return tuple(out)
 
 
 def _clear_ratfun(F, poly):
@@ -638,7 +727,9 @@ def pinv_mod(field, a, m):
 
     Over K(u), from the subresultant PRS of the cleared ``m`` and ``a``:
     with ``a = a'/da`` and ``v*a' == b`` mod ``m``, the inverse is
-    ``da*v/b``.  Over any other field, from ``pxgcd``.  Raises
+    ``da*v/b``.  Over any other field, from an extended Euclid that keeps
+    only the cofactor of ``a`` (over F_p one loop on int lists, like
+    ``_pgcd_fp``); ``pxgcd`` is its oracle in the tests.  Raises
     ZeroDivisionInField when ``a`` and ``m`` have a common factor.
     """
     a = pmod(field, a, m)
@@ -648,11 +739,46 @@ def pinv_mod(field, a, m):
         res, b, v = _subresultant(F, A, B, cofactor=True)
         if res:
             return ptrim(field, [field.make(pmul(F, da, c), b[0]) for c in v])
-    elif a:
-        g, s, _ = pxgcd(field, a, m)
-        if len(g) == 1:
+    elif a and type(field) is FpField:
+        s = _pinv_mod_fp(field.p, a, m)
+        if s is not None:
             return s
+    elif a:
+        r0, r1, s0, s1 = m, a, (), (field.one,)
+        while r1:
+            q, r = pdivmod(field, r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, psub(field, s0, pmul(field, q, s1))
+        if len(r0) == 1:
+            return pscale(field, s0, field.inv(r0[0]))
     raise ZeroDivisionInField("element not invertible (reducible modulus?)")
+
+
+def _pinv_mod_fp(p, a, m):
+    """``a^-1`` modulo ``m`` over F_p on int lists (``a`` nonzero, of
+    degree below ``deg m``), or None when they have a common factor: each
+    quotient term ``c*x^k`` of a division step is taken off the remainder
+    and, times the divisor's cofactor, off the cofactor at once."""
+    r0, r1, s0, s1 = list(m), list(a), [], [1]
+    while r1:
+        lb = len(r1)
+        inv = pow(r1[-1], p - 2, p)
+        while len(r0) >= lb:
+            c = r0.pop()
+            if c:
+                c = c * inv % p
+                k = len(r0) - lb + 1
+                for i in range(lb - 1):
+                    r0[k + i] = (r0[k + i] - c * r1[i]) % p
+                s0 += [0] * (k + len(s1) - len(s0))
+                for i, y in enumerate(s1):
+                    s0[k + i] = (s0[k + i] - c * y) % p
+        while r0 and not r0[-1]:
+            r0.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if len(r0) != 1:
+        return None
+    inv = pow(r0[0], p - 2, p)
+    return tuple(x * inv % p for x in s0)
 
 
 def pmonic(field, a):
