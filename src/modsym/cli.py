@@ -21,7 +21,7 @@ from . import factor as _factor
 from .chow import chow_class, higher_cycle_class, zero_cycle
 from .curve import INF, Divisor, valuation_at
 from .errors import DegreeTooLarge, ExponentTooLarge, InvalidInput, ModsymError
-from .fields import FpField, QField, RatFunField, make_field
+from .fields import MAX_DEGREE, FpField, QField, RatFunField, make_field
 from .fixtures import FIXTURES, run_fixtures
 from .kahler import dlog_wedge
 from .localfield import (
@@ -52,12 +52,6 @@ from .symcalc import SymbolSum, eval_jet, eval_milnor, eval_omega, make_relation
 # cost of everything built on it, grows with n; ``t^1000`` over F7(u)(t)
 # answers in well under a second.
 MAX_EXPONENT = 1000
-
-# Largest degree (see ``_degree``) of a product or power in an element
-# expression, estimated from its operands before it is computed: the sum of
-# their degrees, or |n| times that of the base.  It admits ``t^1000``, and
-# ``(t+u)^500`` over F7(u)(t) answers in a few seconds.
-MAX_DEGREE = 1000
 
 
 def parse_field(spec):

@@ -21,6 +21,7 @@ coefficient field is exactly ``FpField`` or ``QField``, the hot kernels and
 ``ExtField.mul`` take a fast path on plain ints or Fractions with the same
 results; the choice is by exact type, so a field of a subclass of either
 runs the generic per-element loops, which the tests use as the oracle.
+Over F_p, division, Euclid and ``ExtField.mul`` share one loop, ``_fp_rem``.
 
 Gcds, resultants and inverses modulo a monic polynomial (``pgcd``,
 ``_resultant``, ``pinv_mod``, so ``RatFunField`` arithmetic over K(u),
@@ -43,6 +44,7 @@ from math import lcm
 
 from .errors import (
     CharacteristicTooLarge,
+    DegreeTooLarge,
     NonPrimeCharacteristic,
     NotAlgebraicStep,
     PthPowerRoot,
@@ -57,6 +59,11 @@ from .errors import (
 # rejected rather than guessed.
 PRIME_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Largest degree of a CLI product or power (``cli._degree``, estimated from
+# the operands) and absolute degree of a ``make_field`` descriptor.  It
+# admits ``t^1000``; ``(t+u)^500`` over F7(u)(t) answers in a few seconds.
+MAX_DEGREE = 1000
 
 # Results kept by each memo of an exact kernel (``trace_norm`` and the
 # ``trace`` vectors here, and ``factor.factor``): a fixed bound, so memory
@@ -337,7 +344,7 @@ def padd(field, a, b):
 
 
 def pneg(field, a):
-    return tuple(field.neg(x) for x in a)
+    return tuple(map(field.neg, a))
 
 
 def psub(field, a, b):
@@ -403,8 +410,8 @@ def pscale(field, a, c):
 def pdivmod(field, a, b):
     """Quotient and remainder of ``a`` by ``b``, both trimmed.
 
-    A monic divisor is never inverted.  Raises ZeroDivisionInField when
-    ``b`` is zero or its last coefficient is.
+    A monic divisor is never inverted.  Over F_p this is ``_fp_rem``.
+    Raises ZeroDivisionInField when ``b`` is zero or its last coefficient is.
     """
     if not b:
         raise ZeroDivisionInField("polynomial division by zero")
@@ -413,26 +420,24 @@ def pdivmod(field, a, b):
     q = [field.zero] * max(0, len(a) - lb + 1)
     lead = b[-1]
     monic = field.is_one(lead)
-    inv_lead = None if monic else field.inv(lead)
+    inv_lead = field.one if monic else field.inv(lead)
     tf = type(field)
     if tf is FpField or tf is QField:
-        p = field.p if tf is FpField else None
-        while len(a) >= lb:
-            c = a.pop()
-            if not c:
-                continue
-            if not monic:
-                c = c * inv_lead if p is None else c * inv_lead % p
-            k = len(a) - lb + 1
-            q[k] = c
-            if p is None:
+        if tf is FpField:
+            _fp_rem(field.p, a, b, inv_lead, q)
+        else:
+            while len(a) >= lb:
+                c = a.pop()
+                if not c:
+                    continue
+                if not monic:
+                    c *= inv_lead
+                k = len(a) - lb + 1
+                q[k] = c
                 for i in range(lb - 1):
                     a[k + i] -= c * b[i]
-            else:
-                for i in range(lb - 1):
-                    a[k + i] = (a[k + i] - c * b[i]) % p
-        while a and not a[-1]:
-            a.pop()
+            while a and not a[-1]:
+                a.pop()
         while q and not q[-1]:
             q.pop()
         return tuple(q), tuple(a)
@@ -447,6 +452,27 @@ def pdivmod(field, a, b):
             a[k + i] = field.sub(a[k + i], field.mul(c, y))
         a.pop()
     return ptrim(field, q), ptrim(field, a)
+
+
+def _fp_rem(p, a, b, inv, q=None):
+    """Reduce the int list ``a`` mod ``b`` over F_p in place, trimmed and
+    with entries in [0, p); ``inv`` is the inverse of ``b[-1]``.  Each
+    quotient term ``c*x^k`` comes off ``a`` with ``c`` reduced mod p, and
+    goes to ``q[k]`` if ``q`` is a list; the other entries are reduced once,
+    at the end (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 2).
+    """
+    lb = len(b)
+    while len(a) >= lb:
+        c = a.pop() * inv % p
+        if c:
+            k = len(a) - lb + 1
+            if q is not None:
+                q[k] = c
+            for i in range(lb - 1):
+                a[k + i] -= c * b[i]
+    a[:] = [x % p for x in a]
+    while a and not a[-1]:
+        a.pop()
 
 
 def pmod(field, a, b):
@@ -467,10 +493,10 @@ def pmultiplicity(field, a, q):
 def pgcd(field, a, b):
     """Monic gcd of two polynomials (``()`` when both are zero).
 
-    Over F_p this is one Euclid loop on int lists that reduces the
-    remainder in place and keeps no quotient.  Over K(u) it is the primitive
-    part of the last nonzero remainder of the subresultant PRS of the
-    denominator-cleared polynomials over K[u].  Over Q, and over Q(α) by a
+    Over F_p this is Euclid on int lists by ``_fp_rem``, keeping no
+    quotient.  Over K(u) it is the primitive part of the last nonzero
+    remainder of the subresultant PRS of the denominator-cleared
+    polynomials over K[u].  Over Q, and over Q(α) by a
     simple step over Q, nonzero ``a`` and ``b`` are first read in F_p at
     the first point of ``_fp_images`` where both leading coefficients
     survive: if the images are coprime, so are ``a`` and ``b`` (Res(a, b)
@@ -506,17 +532,9 @@ def _pgcd_fp(p, a, b):
     while b and not b[-1]:
         b.pop()
     while b:
-        lb = len(b)
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= lb:
-            c = a.pop()
-            if c:
-                c = c * inv % p
-                k = len(a) - lb + 1
-                for i in range(lb - 1):
-                    a[k + i] = (a[k + i] - c * b[i]) % p
-        while a and not a[-1]:
-            a.pop()
+        if len(b) == 1:
+            return (1,)  # a nonzero constant remainder ends Euclid
+        _fp_rem(p, a, b, pow(b[-1], p - 2, p))
         a, b = b, a
     if a and a[-1] != 1:
         inv = pow(a[-1], p - 2, p)
@@ -727,10 +745,10 @@ def pinv_mod(field, a, m):
 
     Over K(u), from the subresultant PRS of the cleared ``m`` and ``a``:
     with ``a = a'/da`` and ``v*a' == b`` mod ``m``, the inverse is
-    ``da*v/b``.  Over any other field, from an extended Euclid that keeps
-    only the cofactor of ``a`` (over F_p one loop on int lists, like
-    ``_pgcd_fp``); ``pxgcd`` is its oracle in the tests.  Raises
-    ZeroDivisionInField when ``a`` and ``m`` have a common factor.
+    ``da*v/b``.  Over any other field, F_p included, from an extended
+    Euclid on ``pdivmod`` and ``pmul`` that keeps only the cofactor of
+    ``a``; ``pxgcd`` is its oracle in the tests.  Raises ZeroDivisionInField
+    when ``a`` and ``m`` have a common factor.
     """
     a = pmod(field, a, m)
     if a and isinstance(field, RatFunField):
@@ -739,10 +757,6 @@ def pinv_mod(field, a, m):
         res, b, v = _subresultant(F, A, B, cofactor=True)
         if res:
             return ptrim(field, [field.make(pmul(F, da, c), b[0]) for c in v])
-    elif a and type(field) is FpField:
-        s = _pinv_mod_fp(field.p, a, m)
-        if s is not None:
-            return s
     elif a:
         r0, r1, s0, s1 = m, a, (), (field.one,)
         while r1:
@@ -751,34 +765,6 @@ def pinv_mod(field, a, m):
         if len(r0) == 1:
             return pscale(field, s0, field.inv(r0[0]))
     raise ZeroDivisionInField("element not invertible (reducible modulus?)")
-
-
-def _pinv_mod_fp(p, a, m):
-    """``a^-1`` modulo ``m`` over F_p on int lists (``a`` nonzero, of
-    degree below ``deg m``), or None when they have a common factor: each
-    quotient term ``c*x^k`` of a division step is taken off the remainder
-    and, times the divisor's cofactor, off the cofactor at once."""
-    r0, r1, s0, s1 = list(m), list(a), [], [1]
-    while r1:
-        lb = len(r1)
-        inv = pow(r1[-1], p - 2, p)
-        while len(r0) >= lb:
-            c = r0.pop()
-            if c:
-                c = c * inv % p
-                k = len(r0) - lb + 1
-                for i in range(lb - 1):
-                    r0[k + i] = (r0[k + i] - c * r1[i]) % p
-                s0 += [0] * (k + len(s1) - len(s0))
-                for i, y in enumerate(s1):
-                    s0[k + i] = (s0[k + i] - c * y) % p
-        while r0 and not r0[-1]:
-            r0.pop()
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    if len(r0) != 1:
-        return None
-    inv = pow(r0[0], p - 2, p)
-    return tuple(x * inv % p for x in s0)
 
 
 def pmonic(field, a):
@@ -1070,55 +1056,29 @@ class ExtField(Field):
         return self.make((self.below.zero, self.below.one))
 
     def add(self, a, b):
-        K = self.below
-        tk = type(K)
-        if tk is FpField:
-            p = K.p
-            return tuple([(x + y) % p for x, y in zip(a, b)])
-        if tk is QField:
-            return tuple([x + y for x, y in zip(a, b)])
-        return tuple(K.add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.below.add, a, b))
 
     def neg(self, a):
-        K = self.below
-        tk = type(K)
-        if tk is FpField:
-            p = K.p
-            return tuple([-x % p for x in a])
-        if tk is QField:
-            return tuple([-x for x in a])
-        return tuple(K.neg(x) for x in a)
+        return tuple(map(self.below.neg, a))
 
     def sub(self, a, b):
-        K = self.below
-        tk = type(K)
-        if tk is FpField:
-            p = K.p
-            return tuple([(x - y) % p for x, y in zip(a, b)])
-        if tk is QField:
-            return tuple([x - y for x, y in zip(a, b)])
-        return tuple(K.sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.below.sub, a, b))
 
     def mul(self, a, b):
         """Product of two elements.
 
-        Over F_p or Q: a schoolbook product on ints, reduced in place by the
-        monic minimal polynomial (over Q by its integer form, scaling the
-        common denominator), with one conversion per output coefficient.
+        Over F_p or Q: a schoolbook product on ints, reduced by the monic
+        minimal polynomial, with one conversion per output coefficient.  Over
+        F_p the reduction is ``_fp_rem``; over Q it runs in place on the
+        integer form of the minimal polynomial, scaling the common
+        denominator.
         """
         K = self.below
         tk = type(K)
         if tk is FpField:
-            p, m, d = K.p, self.minpoly, self.deg
             out = _int_conv(a, b)
-            out += [0] * (d - len(out))
-            while len(out) > d:
-                c = out.pop() % p
-                if c:
-                    k = len(out) - d
-                    for i in range(d):
-                        out[k + i] -= c * m[i]
-            return tuple(x % p for x in out)
+            _fp_rem(K.p, out, self.minpoly, 1)
+            return tuple(out) + (0,) * (self.deg - len(out))
         if tk is QField:
             (m, dm), d = self._int_minpoly, self.deg
             na, da = _clear_denominators(a)
@@ -1198,9 +1158,16 @@ def make_field(descriptor):
     ``"steps"``: ``{"ratfun": "t"}``,
     ``{"simple": {"var": "x", "min_poly": [c0, c1, ...]}}`` (monic, low
     degree first, coefficients in the element grammar of the field below),
-    ``{"insep_root": {"var": "x", "y": <elem>}}``.
+    ``{"insep_root": {"var": "x", "y": <elem>}}``.  Raises DegreeTooLarge
+    before building a step that would take the absolute degree (the product
+    of the algebraic step degrees) above ``MAX_DEGREE``.
     """
     from .factor import is_irreducible  # deferred: factor imports this module
+
+    def bounded(degree):
+        if degree > MAX_DEGREE:
+            raise DegreeTooLarge(f"absolute degree {degree} exceeds {MAX_DEGREE}")
+        return degree
 
     base = descriptor.get("base")
     if base == "Q":
@@ -1210,11 +1177,13 @@ def make_field(descriptor):
     else:
         raise UnsupportedField(f"unknown base field {base!r}")
 
+    degree = 1
     for step in descriptor.get("steps", ()):
         if "ratfun" in step:
             field = RatFunField(field, step["ratfun"])
         elif "simple" in step:
             var = step["simple"]["var"]
+            degree = bounded(degree * (len(step["simple"]["min_poly"]) - 1))
             mp = tuple(
                 field.elem_from_json(c) if not isinstance(c, int) else field.from_int(c)
                 for c in step["simple"]["min_poly"]
@@ -1232,12 +1201,10 @@ def make_field(descriptor):
             p = field.char
             if p == 0:
                 raise NonPrimeCharacteristic("insep_root requires characteristic p")
+            degree = bounded(degree * p)
             if field.pth_root(y) is not None:
                 raise PthPowerRoot("y is a p-th power; x^p - y is reducible")
-            mp = tuple(
-                field.neg(y) if i == 0 else (field.one if i == p else field.zero)
-                for i in range(p + 1)
-            )
+            mp = (field.neg(y),) + (field.zero,) * (p - 1) + (field.one,)
             field = ExtField(field, var, mp)
         else:
             raise UnsupportedField(f"unknown step {step!r}")
