@@ -2,7 +2,10 @@
 
 Routes:
 
-* finite fields (any finite tower)      -- Cantor-Zassenhaus
+* finite fields (any finite tower)      -- Cantor-Zassenhaus: distinct-degree
+                                           pieces on the Frobenius rows
+                                           x^(iq) mod f (``_ddf``), split
+                                           by equal-degree factorization
 * Q                                     -- Zassenhaus: Cantor-Zassenhaus mod a
                                            small prime p, p-adic Hensel lifting
                                            past the Mignotte bound, subset
@@ -18,9 +21,10 @@ Routes:
 * Q(α) = Q[x]/(m)                       -- first, f is kept whole when its
                                            image in F_p at an unramified
                                            prime (p, α - r) of degree 1 is
-                                           irreducible (Ben-Or's test), as
-                                           a factorization would reduce;
-                                           else Trager as above
+                                           irreducible (Ben-Or's test: the
+                                           first ``_ddf`` piece is the whole
+                                           image), as a factorization would
+                                           reduce; else Trager as above
 
 The image check sits in ``factor_squarefree``, so ``_ext_factor`` called
 directly runs Trager alone, the oracle of the tests.
@@ -46,7 +50,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, zip_longest
+from itertools import combinations, product, zip_longest
 from math import gcd, isqrt
 
 from .errors import UnsupportedField, ZeroFunction
@@ -79,7 +83,6 @@ from .fields import (
     _fp_images,
     _int_conv,
     _is_prime,
-    _pgcd_fp,
     _primitive,
     _resultant,
 )
@@ -90,24 +93,11 @@ _RNG_SEED = 20260824
 def elems(field):
     """Iterate over all elements of a finite field."""
     if isinstance(field, FpField):
-        for i in range(field.p):
-            yield i
-        return
-    if isinstance(field, ExtField):
-        below = list(elems(field.below))
-
-        def rec(i):
-            if i == field.deg:
-                yield ()
-                return
-            for c in below:
-                for rest in rec(i + 1):
-                    yield (c,) + rest
-
-        for tup in rec(0):
-            yield tup
-        return
-    raise UnsupportedField("cannot enumerate an infinite field")
+        yield from range(field.p)
+    elif isinstance(field, ExtField):
+        yield from product(list(elems(field.below)), repeat=field.deg)
+    else:
+        raise UnsupportedField("cannot enumerate an infinite field")
 
 
 # ---------------------------------------------------------------------------
@@ -142,52 +132,54 @@ def _edf(field, f, d, rng):
             return _edf(field, g, d, rng) + _edf(field, _exact_quo(field, f, g), d, rng)
 
 
-def _cz_factor(field, f):
-    """Irreducible factors of a monic squarefree f over a finite field."""
-    q = field.size()
-    rng = random.Random(_RNG_SEED)
+def _ddf(field, f):
+    """Distinct-degree factorization of a monic f over a finite field F_q.
+
+    Yields ``(g, d)`` for increasing d, g the product of the distinct monic
+    irreducible factors of degree d of f, from ``gcd(x^(q^d) - x, f)``, and
+    last what is left of f once its degree is below 2d.  For squarefree f
+    the pieces multiply to f.  The first piece is right for any f, as no
+    smaller degree has a factor.  After ``x^q``, each Frobenius step is
+    linear over F_q, ``h(x)^q = h(x^q)``, on the rows ``x^(iq) mod f``,
+    built when first needed (Ben-Or 1981; von zur Gathen & Shoup, Comput.
+    Complexity 2, 1992).
+    """
     x = (field.zero, field.one)
-    pieces = []
-    h = x
-    d = 0
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = ppow_mod(field, h, q, f)
+    rows = None
+    d = 1
+    while len(f) - 1 >= 2 * d:
+        if d == 1:
+            h = ppow_mod(field, x, field.size(), f)
+        else:
+            if rows is None:
+                rows = [(field.one,), h]
+                while len(rows) < len(f) - 1:
+                    rows.append(pmod(field, pmul(field, rows[-1], h), f))
+            acc = [field.zero] * len(rows)
+            for c, row in zip(h, rows):
+                for i, y in enumerate(row):
+                    acc[i] = field.add(acc[i], field.mul(c, y))
+            h = pmod(field, acc, f)
         g = pgcd(field, psub(field, h, x), f)
         if len(g) > 1:
-            pieces.append((g, d))
+            yield g, d
             f = _exact_quo(field, f, g)
             h = pmod(field, h, f)
+        d += 1
     if len(f) > 1:
-        pieces.append((f, len(f) - 1))
-    out = []
-    for g, d in pieces:
-        out.extend(_edf(field, g, d, rng))
-    return out
+        yield f, len(f) - 1
+
+
+def _cz_factor(field, f):
+    """Irreducible factors of a monic squarefree f over a finite field."""
+    rng = random.Random(_RNG_SEED)
+    return [e for g, d in _ddf(field, f) for e in _edf(field, g, d, rng)]
 
 
 def _fp_irreducible(F, f):
-    """Whether the monic ``f`` of degree n >= 2 over F_p is irreducible: no
-    ``gcd(x^(p^k) - x, f)`` with ``k <= n/2`` is nontrivial (Ben-Or 1981),
-    and the first one that is ends the test.  After ``x^p``, each Frobenius
-    step is linear, ``h(x)^p = h(x^p)``, on the rows ``x^(ip) mod f``."""
-    p, n = F.p, len(f) - 1
-    x = (0, 1)
-    h = xp = ppow_mod(F, x, p, f)
-    for k in range(n // 2):
-        if k == 1:
-            rows = [(1,), xp]
-            while len(rows) < n:
-                rows.append(pmod(F, pmul(F, rows[-1], xp), f))
-        if k:
-            acc = [0] * n
-            for c, row in zip(h, rows):
-                for i, y in enumerate(row):
-                    acc[i] += c * y
-            h = ptrim(F, [c % p for c in acc])
-        if len(_pgcd_fp(p, psub(F, h, x), f)) > 1:
-            return False
-    return True
+    """Whether the monic ``f`` of degree n >= 2 over F_p is irreducible:
+    the first distinct-degree piece is f itself (Ben-Or's test)."""
+    return next(_ddf(F, f))[1] == len(f) - 1
 
 
 # ---------------------------------------------------------------------------

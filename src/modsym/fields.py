@@ -16,12 +16,14 @@ The public entry point mirroring the CLI descriptor grammar is
 
 Polynomials are coefficient tuples, low degree first, handled by the ``p*``
 functions, which include Horner evaluation and composition (``peval``,
-``pcompose``) and the power-series inverse ``pinv_series``.  When the
-coefficient field is exactly ``FpField`` or ``QField``, the hot kernels and
-``ExtField.mul`` take a fast path on plain ints or Fractions with the same
-results; the choice is by exact type, so a field of a subclass of either
-runs the generic per-element loops, which the tests use as the oracle.
-Over F_p, division, Euclid and ``ExtField.mul`` share one loop, ``_fp_rem``.
+``pcompose``) and the power-series inverse ``pinv_series``.  ``ptrim`` and
+``padd`` run one per-element loop for every field.  When the coefficient
+field is exactly ``FpField`` or ``QField``, ``pmul`` and ``ExtField.mul``
+take a fast path on plain ints or Fractions with the same results; the
+choice is by exact type, so a field of a subclass of either runs the
+generic per-element loops, which the tests use as the oracle.  Over F_p,
+division, Euclid and ``ExtField.mul`` share one loop, ``_fp_rem``; division
+over every other field, Q included, is the generic loop of ``pdivmod``.
 
 Gcds, resultants and inverses modulo a monic polynomial (``pgcd``,
 ``_resultant``, ``pinv_mod``, so ``RatFunField`` arithmetic over K(u),
@@ -308,39 +310,20 @@ class FpField(Field):
 
 
 def ptrim(field, c):
-    """``c`` as a tuple without trailing zero coefficients."""
+    """``c`` as a tuple without trailing zeros, by ``field.is_zero`` for every
+    field."""
     c = tuple(c)
     n = len(c)
-    if type(field) is FpField or type(field) is QField:
-        while n and not c[n - 1]:
-            n -= 1
-    else:
-        while n and field.is_zero(c[n - 1]):
-            n -= 1
+    while n and field.is_zero(c[n - 1]):
+        n -= 1
     return c[:n]
 
 
 def padd(field, a, b):
-    """Sum of two polynomials, trimmed."""
-    tf = type(field)
-    if tf is FpField or tf is QField:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        if tf is FpField:
-            p = field.p
-            for i, y in enumerate(b):
-                out[i] = (out[i] + y) % p
-        else:
-            for i, y in enumerate(b):
-                out[i] += y
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-    n = max(len(a), len(b))
-    z = field.zero
-    out = [field.add(a[i] if i < len(a) else z, b[i] if i < len(b) else z) for i in range(n)]
-    return ptrim(field, out)
+    """Sum of two polynomials, trimmed; the tail of the longer one is kept."""
+    if len(a) < len(b):
+        a, b = b, a
+    return ptrim(field, (*map(field.add, a, b), *a[len(b):]))
 
 
 def pneg(field, a):
@@ -410,47 +393,32 @@ def pscale(field, a, c):
 def pdivmod(field, a, b):
     """Quotient and remainder of ``a`` by ``b``, both trimmed.
 
-    A monic divisor is never inverted.  Over F_p this is ``_fp_rem``.
-    Raises ZeroDivisionInField when ``b`` is zero or its last coefficient is.
+    One loop for every field but F_p, where it is ``_fp_rem``: each step
+    takes the leading term off ``a`` and subtracts its multiple of the rest
+    of ``b``, as the leading terms cancel exactly.  A monic divisor is never
+    inverted.  Raises ZeroDivisionInField when ``b`` is zero or its last
+    coefficient is.
     """
     if not b:
         raise ZeroDivisionInField("polynomial division by zero")
     a = list(a)
     lb = len(b)
     q = [field.zero] * max(0, len(a) - lb + 1)
-    lead = b[-1]
-    monic = field.is_one(lead)
-    inv_lead = field.one if monic else field.inv(lead)
-    tf = type(field)
-    if tf is FpField or tf is QField:
-        if tf is FpField:
-            _fp_rem(field.p, a, b, inv_lead, q)
-        else:
-            while len(a) >= lb:
-                c = a.pop()
-                if not c:
-                    continue
-                if not monic:
-                    c *= inv_lead
-                k = len(a) - lb + 1
-                q[k] = c
-                for i in range(lb - 1):
-                    a[k + i] -= c * b[i]
-            while a and not a[-1]:
-                a.pop()
-        while q and not q[-1]:
-            q.pop()
-        return tuple(q), tuple(a)
+    monic = field.is_one(b[-1])
+    inv_lead = field.one if monic else field.inv(b[-1])
+    if type(field) is FpField:
+        _fp_rem(field.p, a, b, inv_lead, q)
+        return ptrim(field, q), tuple(a)
     while len(a) >= lb:
-        if field.is_zero(a[-1]):
-            a.pop()
+        c = a.pop()
+        if field.is_zero(c):
             continue
-        c = a[-1] if monic else field.mul(a[-1], inv_lead)
-        k = len(a) - lb
+        if not monic:
+            c = field.mul(c, inv_lead)
+        k = len(a) - lb + 1
         q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = field.sub(a[k + i], field.mul(c, y))
-        a.pop()
+        for i in range(lb - 1):
+            a[k + i] = field.sub(a[k + i], field.mul(c, b[i]))
     return ptrim(field, q), ptrim(field, a)
 
 
@@ -593,9 +561,12 @@ def _image_points(field):
     the minimal polynomial m mod p, for the primes at which m is p-integral,
     with ``unramified`` true when m is squarefree mod p.  Then α -> r maps
     the p-integral elements of Q(α) onto F_p, and when m is squarefree mod
-    p, (p, α - r) is an unramified prime of degree 1.
+    p, (p, α - r) is an unramified prime of degree 1.  The roots come from
+    the first distinct-degree piece of m (``factor._ddf``): when its degree
+    is 1, it is the product of the distinct linear factors of m, squarefree
+    or not, and equal-degree factorization splits it.
     """
-    from .factor import _RNG_SEED, _edf  # deferred: factor imports this module
+    from .factor import _RNG_SEED, _ddf, _edf  # deferred: factor imports this module
 
     out = []
     for p in _IMAGE_PRIMES:
@@ -606,9 +577,8 @@ def _image_points(field):
         if any(c.denominator % p == 0 for c in field.minpoly):
             continue
         m = tuple(c.numerator * pow(c.denominator, -1, p) % p for c in field.minpoly)
-        x = (0, 1)
-        linear = _pgcd_fp(p, psub(F, ppow_mod(F, x, p, m), x), m)
-        if len(linear) > 1:
+        linear, d = next(_ddf(F, m))
+        if d == 1:
             unramified = len(_pgcd_fp(p, m, pderiv(F, m))) == 1
             roots = (-g[0] % p for g in _edf(F, linear, 1, random.Random(_RNG_SEED)))
             out.extend((F, r, unramified) for r in sorted(roots))

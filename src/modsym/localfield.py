@@ -31,7 +31,9 @@ from .errors import (
     ZeroFunction,
 )
 from . import factor as _factor
-from .fields import padd, pcompose, pderiv, pinv_mod, pinv_series, pmod, pmul, pmultiplicity, psub
+from .fields import (
+    padd, pcompose, pderiv, pinv_mod, pinv_series, pmod, pmul, pmultiplicity, psub, _upow,
+)
 from .kahler import DifferentialForm, basis_vars, differential, dlog
 
 
@@ -224,9 +226,7 @@ def _dt_residue(K, num, den, point):
     m, C = pmultiplicity(K, den, point)
     if not m:
         return K.zero
-    Pm = (K.one,)
-    for _ in range(m):
-        Pm = pmul(K, Pm, point)
+    Pm = _upow(K, point, m)
     # C^-1 mod P, then Newton steps inv * (1 + e) with e = 1 - C * inv, each
     # squaring the error: over F_p(u), Euclid against P^m itself swells
     inv, k = pinv_mod(K, C, point), 1
