@@ -21,7 +21,9 @@ from . import factor as _factor
 from .chow import chow_class, higher_cycle_class, zero_cycle
 from .curve import INF, Divisor, valuation_at
 from .errors import DegreeTooLarge, ExponentTooLarge, InvalidInput, ModsymError
-from .fields import MAX_DEGREE, FpField, QField, RatFunField, make_field
+from .fields import (
+    MAX_DEGREE, MAX_EXPONENT, FpField, QField, RatFunField, int_from_json, make_field,
+)
 from .fixtures import FIXTURES, run_fixtures
 from .kahler import dlog_wedge
 from .localfield import (
@@ -47,12 +49,6 @@ from .symcalc import SymbolSum, eval_jet, eval_milnor, eval_omega, make_relation
 # ---------------------------------------------------------------------------
 # parsing: fields, elements, divisors
 # ---------------------------------------------------------------------------
-
-# Largest |n| accepted in ``x^n``: the degree of a power, and with it the
-# cost of everything built on it, grows with n; ``t^1000`` over F7(u)(t)
-# answers in well under a second.
-MAX_EXPONENT = 1000
-
 
 def parse_field(spec):
     """Q, F<p>, optionally followed by (var) rational-function steps."""
@@ -375,7 +371,7 @@ def _cmd_chow_class(args):
     for t in data["terms"]:
         L = make_field(t["ext"])
         c1, c2 = (L.elem_from_json(v) for v in t["coords"])
-        terms.append((L, (c1, c2), int(t["coeff"])))
+        terms.append((L, (c1, c2), int_from_json(t["coeff"])))
     z = zero_cycle(base, tags, terms, conv=data["ambient"].get("conv", "sum"))
     cl = chow_class(z, allow_out_of_hypothesis=args.allow_out_of_hypothesis)
     return {"class": cl.to_json(), "zero": cl.is_zero()}

@@ -15,8 +15,10 @@ Routes:
                                            (F_q(u) moves to F_{q^k} when no
                                            point of F_q is good)
 * separable K[x]/(m) over the above     -- norm-based reduction (Trager):
-                                           the squarefree norm of f(t + s*x)
-                                           is factored over K, and f is kept
+                                           the squarefree norm
+                                           Res_x(m, f(t + s*x)), one
+                                           subresultant PRS over K[t], is
+                                           factored over K, and f is kept
                                            whole when that norm is irreducible
 * Q(α) = Q[x]/(m)                       -- first, f is kept whole when its
                                            image in F_p at an unramified
@@ -63,6 +65,7 @@ from .fields import (
     RatFunField,
     padd,
     pcompose,
+    pconst,
     pderiv,
     pdivmod,
     peval,
@@ -77,14 +80,13 @@ from .fields import (
     ppow_mod,
     psub,
     ptrim,
-    _clear_denominators,
     _clear_ratfun,
     _exact_quo,
     _fp_images,
     _int_conv,
     _is_prime,
     _primitive,
-    _resultant,
+    _subresultant,
 )
 
 _RNG_SEED = 20260824
@@ -343,7 +345,7 @@ def _q_factor(field, f):
     p, lifted to p^B past the Mignotte bound, and recombined by subsets;
     every factor is certified by exact division over Z.
     """
-    F, _ = _clear_denominators(f)
+    F, _ = field._ints(f)
     content = gcd(*F)
     F = [c // content for c in F]
     lc = F[-1]
@@ -523,29 +525,21 @@ def _shift_candidates(K):
 def _ext_factor(L, f):
     """Trager reduction: factor monic squarefree f over L = K[x]/(m)."""
     K = L.below
-    R = RatFunField(K, "~t")
-    m_R = tuple(R.lift(c) for c in L.minpoly)
+    m = [pconst(K, c) for c in L.minpoly]
 
     for s in _shift_candidates(K):
         # g(t) = f(t + s*x) over L; then treat x as a free variable for Res_x
         g = pcompose(L, f, ptrim(L, (L.make((K.zero, s)), L.one)))
         # transpose into x-major order: coefficient of x^j is a t-poly over K
-        g_xmajor = []
-        for j in range(L.deg):
-            cj = [coeff[j] if j < len(coeff) else K.zero for coeff in g]
-            poly_t = ptrim(K, cj)
-            g_xmajor.append(R.make(poly_t, (K.one,)))
-        g_xmajor = ptrim(R, g_xmajor)
-        N = _resultant(R, m_R, g_xmajor)
-        if R.is_zero(N):
+        g_xmajor = [ptrim(K, [c[j] for c in g]) for j in range(L.deg)]
+        while not g_xmajor[-1]:
+            g_xmajor.pop()
+        N = _subresultant(K, m, g_xmajor)[0]
+        if not N:
             continue
-        num, dden = N
-        if len(dden) != 1:
+        if len(pgcd(K, N, pderiv(K, N))) > 1:
             continue
-        N_poly = pmonic(K, num)
-        if len(pgcd(K, N_poly, pderiv(K, N_poly))) > 1:
-            continue
-        sub_factors = factor_squarefree(K, N_poly)
+        sub_factors = factor_squarefree(K, N)  # which makes N monic
         if len(sub_factors) == 1:
             return [f]  # an irreducible norm: f is irreducible
         out = []

@@ -17,13 +17,13 @@ The public entry point mirroring the CLI descriptor grammar is
 Polynomials are coefficient tuples, low degree first, handled by the ``p*``
 functions, which include Horner evaluation and composition (``peval``,
 ``pcompose``) and the power-series inverse ``pinv_series``.  ``ptrim`` and
-``padd`` run one per-element loop for every field.  When the coefficient
-field is exactly ``FpField`` or ``QField``, ``pmul`` and ``ExtField.mul``
-take a fast path on plain ints or Fractions with the same results; the
-choice is by exact type, so a field of a subclass of either runs the
-generic per-element loops, which the tests use as the oracle.  Over F_p,
-division, Euclid and ``ExtField.mul`` share one loop, ``_fp_rem``; division
-over every other field, Q included, is the generic loop of ``pdivmod``.
+``padd`` run one per-element loop for every field.  Over exactly
+``FpField`` or ``QField`` (``_INT_FIELDS``), ``pmul`` and ``ExtField.mul``
+run one int path: the field reads elements as ints over one denominator
+(``_ints``) and converts each output back once (``_from_ints``).  A field of
+a subclass runs the generic per-element loops, the oracle of the tests.
+Over F_p, division and Euclid share one loop, ``_fp_rem``; division over
+every other field, Q included, is the generic loop of ``pdivmod``.
 
 Gcds, resultants and inverses modulo a monic polynomial (``pgcd``,
 ``_resultant``, ``pinv_mod``, so ``RatFunField`` arithmetic over K(u),
@@ -67,6 +67,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # admits ``t^1000``; ``(t+u)^500`` over F7(u)(t) answers in a few seconds.
 MAX_DEGREE = 1000
 
+# Largest |n| in ``x^n`` of the CLI grammar (``cli.MAX_EXPONENT``) and in a
+# Q literal ``"1e<n>"`` read from JSON: the cost of a power grows with n.
+MAX_EXPONENT = 1000
+
 # Results kept by each memo of an exact kernel (``trace_norm`` and the
 # ``trace`` vectors here, and ``factor.factor``): a fixed bound, so memory
 # stays flat in long runs.
@@ -95,6 +99,15 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def int_from_json(j):
+    """``int(j)``, raising ValueError, not OverflowError, on the infinite
+    float that JSON reads from ``1e999``."""
+    try:
+        return int(j)
+    except OverflowError:
+        raise ValueError(f"{j!r} is not a finite number") from None
 
 
 class Field:
@@ -239,7 +252,25 @@ class QField(Field):
         return str(a)
 
     def elem_from_json(self, j):
-        return Fraction(str(j))
+        """A zero denominator raises ZeroDivisionInField, and a decimal
+        exponent over ``MAX_EXPONENT`` ValueError, before ``10^e`` is built."""
+        text = str(j)
+        exp = text.lower().partition("e")[2]
+        if exp and abs(int(exp)) > MAX_EXPONENT:
+            raise ValueError(f"|decimal exponent| of {text!r} exceeds {MAX_EXPONENT}")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ZeroDivisionInField(f"zero denominator in {text!r}") from None
+
+    def _ints(self, a):
+        """(integer numerators, d) with ``a == [n / d for n in numerators]``."""
+        d = lcm(*(x.denominator for x in a))
+        return [x.numerator * (d // x.denominator) for x in a], d
+
+    def _from_ints(self, ints, d):
+        z = self.zero
+        return tuple([Fraction(x, d) if x else z for x in ints])
 
 
 class FpField(Field):
@@ -298,10 +329,25 @@ class FpField(Field):
         return str(a)
 
     def elem_from_json(self, j):
-        return int(j) % self.p
+        return int_from_json(j) % self.p
 
     def pth_root(self, a):
         return a  # F_p is perfect and Frobenius is the identity
+
+    def _ints(self, a):
+        return a, 1
+
+    def _from_ints(self, ints, d):
+        # d is 1: ``_ints`` gives 1, and minimal polynomials are monic.  Both
+        # ``_from_ints`` build a list first: ``tuple`` of a generator resizes
+        # as it grows, which raised the peak RSS of relations runs by 1.7 MB.
+        p = self.p
+        return tuple([x % p for x in ints])
+
+
+# The fields, by exact type, whose elements ``pmul`` and ``ExtField.mul`` read
+# as ints over one denominator (``_ints``/``_from_ints``).
+_INT_FIELDS = (FpField, QField)
 
 
 # ---------------------------------------------------------------------------
@@ -346,36 +392,18 @@ def _int_conv(a, b):
     return out
 
 
-def _clear_denominators(a):
-    """(integer numerators, d) with ``a == [n / d for n in numerators]``."""
-    d = lcm(*(x.denominator for x in a))
-    return [x.numerator * (d // x.denominator) for x in a], d
-
-
 def pmul(field, a, b):
     """Product of two polynomials, trimmed.
 
-    Over F_p the products are summed as ints and reduced once per
-    coefficient; over Q both factors are cleared to integer numerators over
-    a common denominator, so each output coefficient is one Fraction.
+    Over F_p and Q both factors are read as ints over one denominator
+    (``_ints``: the residues over F_p, integer numerators over Q), and each
+    coefficient of their int product is converted back once.
     """
     if not a or not b:
         return ()
-    tf = type(field)
-    if tf is FpField:
-        p = field.p
-        out = [x % p for x in _int_conv(a, b)]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-    if tf is QField:
-        na, da = _clear_denominators(a)
-        nb, db = _clear_denominators(b)
-        out = _int_conv(na, nb)
-        while out and not out[-1]:
-            out.pop()
-        d, z = da * db, field.zero
-        return tuple(Fraction(x, d) if x else z for x in out)
+    if type(field) in _INT_FIELDS:
+        (na, da), (nb, db) = field._ints(a), field._ints(b)
+        return ptrim(field, field._from_ints(_int_conv(na, nb), da * db))
     z = field.zero
     out = [z] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -999,10 +1027,8 @@ class ExtField(Field):
         self.one = tuple(
             below.one if i == 0 else below.zero for i in range(self.deg)
         )
-        if type(below) is QField:
-            # minpoly * den as ints, for reducing cleared products in mul
-            m, den = _clear_denominators(minpoly)
-            self._int_minpoly = (m, den)
+        if type(below) in _INT_FIELDS:
+            self._int_minpoly = below._ints(minpoly)
 
     def __eq__(self, other):
         return (
@@ -1037,25 +1063,16 @@ class ExtField(Field):
     def mul(self, a, b):
         """Product of two elements.
 
-        Over F_p or Q: a schoolbook product on ints, reduced by the monic
-        minimal polynomial, with one conversion per output coefficient.  Over
-        F_p the reduction is ``_fp_rem``; over Q it runs in place on the
-        integer form of the minimal polynomial, scaling the common
-        denominator.
+        Over F_p or Q: a schoolbook product on ints (``_ints``), reduced in
+        place by the int form of the minimal polynomial (scaling the common
+        denominator by its own, which only Q has), converted back once.
         """
         K = self.below
-        tk = type(K)
-        if tk is FpField:
-            out = _int_conv(a, b)
-            _fp_rem(K.p, out, self.minpoly, 1)
-            return tuple(out) + (0,) * (self.deg - len(out))
-        if tk is QField:
+        if type(K) in _INT_FIELDS:
             (m, dm), d = self._int_minpoly, self.deg
-            na, da = _clear_denominators(a)
-            nb, db = _clear_denominators(b)
-            out = _int_conv(na, nb)
+            (na, da), (nb, db) = K._ints(a), K._ints(b)
+            out, den = _int_conv(na, nb), da * db
             out += [0] * (d - len(out))
-            den = da * db
             while len(out) > d:
                 c = out.pop()
                 if c:
@@ -1065,8 +1082,7 @@ class ExtField(Field):
                     k = len(out) - d
                     for i in range(d):
                         out[k + i] -= c * m[i]
-            z = K.zero
-            return tuple(Fraction(x, den) if x else z for x in out)
+            return K._from_ints(out, den)
         return self.make(pmul(K, ptrim(K, a), ptrim(K, b)))
 
     def inv(self, a):
@@ -1143,7 +1159,7 @@ def make_field(descriptor):
     if base == "Q":
         field = QField()
     elif base == "Fp":
-        field = FpField(int(descriptor["p"]))
+        field = FpField(int_from_json(descriptor["p"]))
     else:
         raise UnsupportedField(f"unknown base field {base!r}")
 

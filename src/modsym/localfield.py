@@ -31,9 +31,7 @@ from .errors import (
     ZeroFunction,
 )
 from . import factor as _factor
-from .fields import (
-    padd, pcompose, pderiv, pinv_mod, pinv_series, pmod, pmul, pmultiplicity, psub, _upow,
-)
+from .fields import pcompose, pderiv, pinv_mod, pinv_series, pmod, pmul, pmultiplicity, _upow
 from .kahler import DifferentialForm, basis_vars, differential, dlog
 
 
@@ -216,7 +214,8 @@ def _dt_residue(K, num, den, point):
 
     * at a finite point P, with den = P^m * C and gcd(P, C) = 1, it is the
       coefficient of t^(m deg P - 1) in A = num * C^-1 mod P^m, since
-      A/P^m dt has poles only at P and at infinity;
+      A/P^m dt has poles only at P and at infinity; C^-1 is one
+      ``pinv_mod`` against P^m itself (the subresultant PRS over K(u));
     * at infinity it is -r_(d-1), where r = num mod den and d = deg den
       (den is monic).
     """
@@ -227,13 +226,7 @@ def _dt_residue(K, num, den, point):
     if not m:
         return K.zero
     Pm = _upow(K, point, m)
-    # C^-1 mod P, then Newton steps inv * (1 + e) with e = 1 - C * inv, each
-    # squaring the error: over F_p(u), Euclid against P^m itself swells
-    inv, k = pinv_mod(K, C, point), 1
-    while k < m:
-        e = psub(K, (K.one,), pmul(K, C, inv))
-        inv, k = pmod(K, pmul(K, inv, padd(K, (K.one,), e)), Pm), 2 * k
-    A, top = pmod(K, pmul(K, num, inv), Pm), len(Pm) - 2
+    A, top = pmod(K, pmul(K, num, pinv_mod(K, C, Pm)), Pm), len(Pm) - 2
     return A[top] if top < len(A) else K.zero
 
 

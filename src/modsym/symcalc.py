@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedField,
     ZeroArgument,
 )
-from .fields import ExtField, field_to_descriptor, make_field, trace, trace_norm
+from .fields import ExtField, field_to_descriptor, int_from_json, make_field, trace, trace_norm
 from .kahler import (
     DifferentialForm,
     JetElement,
@@ -131,7 +131,7 @@ class SymbolSum:
             values = tuple(
                 _value_from_json(L, e["tag"], e["value"]) for e in t["entries"]
             )
-            terms.append(SymbolTerm(int(t["coeff"]), L, tags, values))
+            terms.append(SymbolTerm(int_from_json(t["coeff"]), L, tags, values))
         return cls(base, data.get("convention", SUM), terms)
 
 
@@ -143,7 +143,7 @@ def _value_to_json(L, tag, v):
 
 def _value_from_json(L, tag, v):
     if tag == "Z":
-        return int(v)
+        return int_from_json(v)
     return L.elem_from_json(v)
 
 
