@@ -8,11 +8,11 @@ according to the factor tags.  The splitting uses the degree-one basepoints
 canonical.  Rational equivalence is generated by cycles of the shape
 sum v_x(f) * (g1(x), g2(x)) for f congruent to 1 along the pulled-back
 modulus; their classes vanish identically, which is the checkable contract.
+Cycles (``ZeroCycleWithModulus``) and classes (``ChowClass``) are immutable
+named tuples.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curve import boundary_values, check_congruence
 from .errors import (
@@ -42,12 +42,10 @@ def _check_coord(tag, L, v):
         raise PointOnDivisor("multiplicative coordinate meets the divisor")
 
 
-@dataclass(frozen=True)
-class ZeroCycleWithModulus:
-    base: object
-    tags: tuple  # (GA|GM, GA|GM)
-    conv: str
-    terms: tuple  # ((L, (c1, c2), coeff), ...)
+class ZeroCycleWithModulus(namedtuple("ZeroCycleWithModulus", "base tags conv terms")):
+    """tags is (GA|GM, GA|GM) and terms ((L, (c1, c2), coeff), ...)."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         if other.base != self.base or other.tags != self.tags:
@@ -77,14 +75,10 @@ def zero_cycle(base, tags, terms, conv=SUM):
     return ZeroCycleWithModulus(base, tuple(tags), conv, tuple(terms))
 
 
-@dataclass
-class ChowClass:
-    tags: tuple
-    degree: int
-    j1: object
-    j2: object
-    pairing: object  # JetElement | DifferentialForm (Milnor: its dlog form)
-    base: object
+class ChowClass(namedtuple("ChowClass", "tags degree j1 j2 pairing base")):
+    """pairing is a JetElement or a DifferentialForm (Milnor: its dlog form)."""
+
+    __slots__ = ()
 
     def is_zero(self):
         K = self.base

@@ -11,8 +11,6 @@ error carries its library name in the JSON body), 2 mathematical precondition
 failure (the JSON body carries the library error name).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -8,8 +8,6 @@ of g mod P.  ``boundary_values`` lists f's zeros and poles with the values
 of the sections there, for the curve relations and boundary cycles.
 """
 
-from __future__ import annotations
-
 import json
 
 from .errors import ZeroFunction

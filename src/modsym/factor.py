@@ -46,8 +46,6 @@ so it does not depend on ``_RNG_SEED``, and the seed is not part of the key.
 Cached values are immutable; every call gets a fresh list.
 """
 
-from __future__ import annotations
-
 import json
 import random
 from fractions import Fraction

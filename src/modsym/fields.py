@@ -37,8 +37,6 @@ Q(α) by a simple step over Q, ``pgcd`` first reads both polynomials in F_p
 route follows the field; there is nothing to configure.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -242,8 +240,8 @@ class QField(Field):
     def from_int(self, n):
         return Fraction(n)
 
-    def rand(self, rng, size=6):
-        return Fraction(rng.randint(-size, size), rng.randint(1, size))
+    def rand(self, rng):
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
     def to_str(self, a):
         return str(a)
@@ -319,7 +317,7 @@ class FpField(Field):
     def size(self):
         return self.p
 
-    def rand(self, rng, size=None):
+    def rand(self, rng):
         return rng.randrange(self.p)
 
     def to_str(self, a):
@@ -951,11 +949,11 @@ class RatFunField(Field):
             return a[0][0] if a[0] else self.below.zero
         return None
 
-    def rand(self, rng, size=2):
+    def rand(self, rng):
         K = self.below
         while True:
-            num = ptrim(K, [K.rand(rng) for _ in range(rng.randint(1, size + 1))])
-            den = ptrim(K, [K.rand(rng) for _ in range(rng.randint(1, size + 1))])
+            num = ptrim(K, [K.rand(rng) for _ in range(rng.randint(1, 3))])
+            den = ptrim(K, [K.rand(rng) for _ in range(rng.randint(1, 3))])
             if den:
                 return self.make(num, den)
 
@@ -1107,7 +1105,7 @@ class ExtField(Field):
         s = self.below.size()
         return None if s is None else s ** self.deg
 
-    def rand(self, rng, size=None):
+    def rand(self, rng):
         return tuple(self.below.rand(rng) for _ in range(self.deg))
 
     def to_str(self, a):

@@ -5,8 +5,6 @@ outcome is known on paper, and reports named boolean checks.  They double as
 the CLI's ``fixtures`` suite and as acceptance anchors.
 """
 
-from __future__ import annotations
-
 from .curve import INF, Divisor
 from .errors import ConductorCertificateFailure
 from .fields import ExtField, FpField, QField, RatFunField, pmul

@@ -15,8 +15,6 @@ a tensor a(x)b mapping to (a db, ab); the alternative decomposition
 (b da, ab) of the same tensor corresponds to (d(scalar) - omega, scalar).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .errors import IncompatibleTerms, NotAlgebraicStep, UnsupportedField, ZeroArgument
@@ -51,15 +49,24 @@ def basis_vars(K):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _elim_data(K):
-    """(eliminated variable, lifted coefficients of dy) for an insep step."""
+    """(v0, r) for an algebraic step: its relation sum r[v] dv = 0, scaled
+    so that r[v0] = 1.  Separable m: v0 = x, from dm(x) + m'(x) dx = 0 with
+    dm the coefficient-wise differential (r is empty when dm is); root
+    x^p = y: dy = 0, and v0 is the last variable below that dy involves."""
     B = K.below
-    y = B.neg(K.minpoly[0])
-    dy = _d(B, y)
-    # _d keeps only nonzero coefficients
-    v0 = next((v for v in reversed(basis_vars(B)) if v in dy), None)
-    if v0 is None:
-        raise UnsupportedField("dy = 0: cannot present Omega of this tower freely")
-    return v0, {v: K.lift(w) for v, w in dy.items()}
+    if not K.inseparable:
+        v0, dm = K.var, _transpose(B, [_d(B, c) for c in K.minpoly])
+        if not dm:
+            return v0, {}
+        rel = {v0: K.make(pderiv(B, K.minpoly)), **{v: K.make(p) for v, p in dm.items()}}
+    else:
+        # _d keeps only nonzero coefficients
+        rel = {v: K.lift(w) for v, w in _d(B, B.neg(K.minpoly[0])).items()}
+        v0 = next((v for v in reversed(basis_vars(B)) if v in rel), None)
+        if v0 is None:
+            raise UnsupportedField("dy = 0: cannot present Omega of this tower freely")
+    inv = K.inv(rel[v0])
+    return v0, {v: K.mul(inv, w) for v, w in rel.items()}
 
 
 def _transpose(B, dicts):
@@ -97,27 +104,18 @@ def _d(K, a):
                 res[v] = K.make(P, den2)
         return res
 
-    # algebraic step
+    # algebraic step: the coefficient-wise differential plus a'(x) dx, then
+    # d(v0) eliminated through the step's relation
     res = {v: K.make(p) for v, p in _transpose(B, [_d(B, c) for c in a]).items()}
     aprime = pderiv(B, a)
-    if not K.inseparable:
-        # m(x) = 0 gives dx = -dm(x) / m'(x), where dm is the coefficient-wise
-        # differential of the minimal polynomial m
-        dm = _transpose(B, [_d(B, c) for c in K.minpoly])
-        if dm and aprime:
-            ratio = K.div(K.make(aprime), K.make(pderiv(B, K.minpoly)))
-            for v, p in dm.items():
-                res[v] = K.sub(res.get(v, K.zero), K.mul(ratio, K.make(p)))
-    else:
-        if aprime:  # x is no variable below, so res has no dx yet
-            res[K.var] = K.make(aprime)
-        # dy = 0 eliminates v0: dv0 = -(sum of dy_v dv over v != v0) / dy_v0
-        v0, dy = _elim_data(K)
-        if v0 in res:
-            c = K.div(res.pop(v0), dy[v0])
-            for v, w in dy.items():
-                if v != v0:
-                    res[v] = K.sub(res.get(v, K.zero), K.mul(c, w))
+    if aprime:  # x is no variable below, so res has no dx yet
+        res[K.var] = K.make(aprime)
+    v0, r = _elim_data(K)
+    if v0 in res:
+        c = res.pop(v0)
+        for v, w in r.items():
+            if v != v0:
+                res[v] = K.sub(res.get(v, K.zero), K.mul(c, w))
     return {v: w for v, w in res.items() if not K.is_zero(w)}
 
 

@@ -5,7 +5,8 @@ finite separable points and s = 1/t at infinity; s is primed (s', s'', ...)
 when the base has a variable of that name.  Conductors implement the
 logarithmic pole filtration for Omega^n (with Omega^0 = Ga in
 characteristic 0) and the Frobenius pole filtration for Ga in
-characteristic p.
+characteristic p; a conductor is reported as a ``ConductorProfile``, an
+immutable named tuple.
 
 Residues need no expansion: at every closed point, inseparable ones
 included, the traced residue is one coefficient of a remainder in K[t]
@@ -17,9 +18,7 @@ nothing, as it reads valuations in K(t) on a basis of Omega(log x)
 (``_log_basis``), at every closed point.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .curve import INF, parameter, residue_field, valuation_at
 from .errors import (
@@ -272,12 +271,8 @@ def reciprocity_sum(R, a_form, f):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConductorProfile:
-    tag: str
-    characteristic: int
-    result: int
-    witness: dict = dc_field(default_factory=dict)
+class ConductorProfile(namedtuple("ConductorProfile", "tag characteristic result witness")):
+    __slots__ = ()
 
     def to_json(self):
         return {

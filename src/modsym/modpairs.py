@@ -5,12 +5,10 @@ combine the two divisors either by sum or, after blowing up the locus where
 both divisors meet, by max; products are never materialized — every
 multiplicity question is answered by the valuation formulas of
 ``probe_multiplicities``, with the blow-up chart computation kept as a test
-oracle only.
+oracle only.  Pairs and probes are immutable named tuples.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curve import INF, Divisor, combine_divisors, divisor_of
 from .errors import DegenerateMap, InfiniteValuation, UnsupportedField
@@ -20,13 +18,11 @@ SUM = "sum"
 MAX = "max"
 
 
-@dataclass(frozen=True)
-class ModulusPair:
-    carrier: str  # "P1" | "prod"
-    infty: object = None  # Divisor for P1
-    m1: object = None  # ModulusPair for prod
-    m2: object = None
-    conv: str = None
+class ModulusPair(namedtuple("ModulusPair", "carrier infty m1 m2 conv", defaults=(None,) * 4)):
+    """carrier "P1" with the Divisor infty, or "prod" of the line pairs m1
+    and m2 under the convention conv."""
+
+    __slots__ = ()
 
     def to_json(self):
         if self.carrier == "P1":
@@ -78,13 +74,9 @@ def product_pair(m1, m2, convention=SUM):
     return ModulusPair("prod", m1=m1, m2=m2, conv=convention)
 
 
-@dataclass(frozen=True)
-class ValuationProbe:
-    """A local point of a product pair: the two divisor equations pulled
-    back along Spec O_L -> carrier, as Laurent data in a common parameter."""
-
-    t1: object  # Laurent
-    t2: object
+ValuationProbe = namedtuple("ValuationProbe", "t1 t2")
+ValuationProbe.__doc__ = """A local point of a product pair: the two divisor equations
+pulled back along Spec O_L -> carrier, as Laurent data t1, t2 in a common parameter."""
 
 
 def _probe_val(lau):

@@ -12,12 +12,11 @@ The quotient group has no canonical form; equality is certified through the
 evaluation homomorphisms onto differential forms, jets, and Milnor data,
 which are faithful in the characteristics where the corresponding
 isomorphism theorems hold: ``HYPOTHESES`` lists the characteristics each
-evaluation is guarded against.
+evaluation is guarded against.  Terms, certified relations and
+subadditivity reports are immutable named tuples.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .curve import (
     INF,
@@ -59,12 +58,10 @@ def _check_section(tag, field, value):
         raise ZeroArgument("Gm sections are nonzero")
 
 
-@dataclass(frozen=True)
-class SymbolTerm:
-    coeff: int
-    field: object  # the tower L the entries live in
-    tags: tuple
-    values: tuple
+class SymbolTerm(namedtuple("SymbolTerm", "coeff field tags values")):
+    """coeff * [values]_{field/K}; field is the tower L the entries live in."""
+
+    __slots__ = ()
 
     def key(self):
         return (self.field, self.tags, self.values)
@@ -83,7 +80,7 @@ class SymbolSum:
                 continue
             k = t.key()
             if k in merged:
-                merged[k] = replace(merged[k], coeff=merged[k].coeff + t.coeff)
+                merged[k] = merged[k]._replace(coeff=merged[k].coeff + t.coeff)
             else:
                 merged[k] = t
                 order.append(k)
@@ -98,7 +95,7 @@ class SymbolSum:
         return SymbolSum(
             self.base,
             self.convention,
-            tuple(replace(t, coeff=-t.coeff) for t in self.terms),
+            tuple(t._replace(coeff=-t.coeff) for t in self.terms),
         )
 
     def __sub__(self, other):
@@ -216,14 +213,9 @@ def r1_reduce(s):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RelationInstance:
-    R: object  # RatFunField(L, t): the curve P^1_L
-    base: object  # the symbol base K
-    f: object
-    sections: tuple  # ((tag, g, D), ...)
-    convention: str
-    symbol_sum: SymbolSum
+# R = RatFunField(L, t) is the curve P^1_L, base the symbol base K and
+# sections ((tag, g, D), ...)
+RelationInstance = namedtuple("RelationInstance", "R base f sections convention symbol_sum")
 
 
 def _certify_section(R, tag, g, D):
@@ -491,12 +483,7 @@ def twist_chain(K, a, n):
     return form
 
 
-@dataclass
-class SubadditivityReport:
-    slot_conductors: list
-    bound: int
-    evaluated_conductor: int
-    holds: bool
+SubadditivityReport = namedtuple("SubadditivityReport", "slot_conductors bound evaluated_conductor holds")
 
 
 def _ceil_div(a, b):
