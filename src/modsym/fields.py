@@ -33,8 +33,14 @@ polynomials over K[u]: exact, with no gcd per step.  Over every other field
 they run Euclid (``pinv_mod`` keeping only the one cofactor it returns),
 and ``pxgcd`` stays the oracle of the tests for K(u) too.  Over Q and over
 Q(α) by a simple step over Q, ``pgcd`` first reads both polynomials in F_p
-(``_fp_images``) and answers 1 when the images prove them coprime.  The
-route follows the field; there is nothing to configure.
+(``_fp_images``) and answers 1 when the images prove them coprime.
+
+An ``ExtField`` over exactly ``FpField`` with at most ``_ZECH_MAX_SIZE``
+elements whose minimal polynomial is certified irreducible shares one pair of
+Zech log/antilog tables per ``(p, minpoly)`` (``_zech_tables``): its
+``mul``, ``inv`` and ``pth_root`` are lookups, and an element with no log
+(zero, or a tuple not in canonical form) takes the int path.  The route
+follows the field; there is nothing to configure.
 """
 
 import random
@@ -69,9 +75,9 @@ MAX_DEGREE = 1000
 # Q literal ``"1e<n>"`` read from JSON: the cost of a power grows with n.
 MAX_EXPONENT = 1000
 
-# Results kept by each memo of an exact kernel (``trace_norm`` and the
-# ``trace`` vectors here, and ``factor.factor``): a fixed bound, so memory
-# stays flat in long runs.
+# Results kept by each memo of an exact kernel (``trace_norm``, the
+# ``trace`` vectors and the Zech tables here, and ``factor.factor``): a fixed
+# bound, so memory stays flat in long runs.
 CACHE_SIZE = 256
 
 
@@ -899,6 +905,9 @@ class RatFunField(Field):
             return b
         if not n2:
             return a
+        if d1 == d2 == (K.one,):
+            # polynomials: the sum is reduced as it stands (an empty one is zero)
+            return (padd(K, n1, n2), d1)
         g = pgcd(K, d1, d2)
         if len(g) <= 1:
             # denominators coprime: the sum is automatically reduced
@@ -923,6 +932,8 @@ class RatFunField(Field):
         n2, d2 = b
         if not n1 or not n2:
             return self.zero
+        if d1 == d2 == (K.one,):
+            return (pmul(K, n1, n2), d1)
         g1 = pgcd(K, n1, d2)
         if len(g1) > 1:
             n1 = pdivmod(K, n1, g1)[0]
@@ -1001,12 +1012,53 @@ class RatFunField(Field):
         return self.make(num, den)
 
 
+# Largest q of an extension of exactly ``FpField`` that gets Zech tables.
+# Measured on the F7(t) ops of the relations workload
+# (``tools/ab_relations.py``): at 4096 the degree-3 and degree-4 residue
+# fields over F7 each build a table they hardly use, and those ops ran 3.7x
+# slower; without the memo of ``_zech_tables`` they ran 1.8x slower.
+_ZECH_MAX_SIZE = 256
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _zech_tables(p, minpoly):
+    """``(log, exp)`` of F_p[x]/(minpoly) for a primitive element g, or None
+    when the monic ``minpoly`` (ints in [0, p)) is reducible.
+
+    ``log`` maps each nonzero element tuple to i, ``exp[i]`` is g^i for
+    i < 2(q - 1), so the sum of two logs indexes ``exp`` unreduced (Huber,
+    IEEE Trans. Inf. Theory 36, 1990).  ``minpoly`` is certified first by
+    the distinct-degree test of ``factor._fp_irreducible``, as the order
+    test alone passes zero divisors (5 + i in F13[i]/(i^2 + 1)).  Then g is
+    the first element with g^((q-1)/r) != 1 for every prime r | q - 1.
+    """
+    from .factor import _fp_irreducible  # deferred: factor imports this module
+
+    F, d = FpField(p), len(minpoly) - 1
+    if not _fp_irreducible(F, minpoly):
+        return None
+    q = p**d
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+    for n in range(1 if d == 1 else p, q):  # a constant has order < q - 1 if d > 1
+        g = ptrim(F, [n // p**i % p for i in range(d)])
+        if all(ppow_mod(F, g, (q - 1) // r, minpoly) != (1,) for r in primes):
+            break
+    exp, x = [], [1]
+    for _ in range(q - 1):
+        exp.append((*x, *(0,) * (d - len(x))))
+        x = _int_conv(x, g)
+        _fp_rem(p, x, minpoly, 1)
+    return {e: i for i, e in enumerate(exp)}, exp + exp
+
+
 class ExtField(Field):
     """Simple algebraic extension ``below[var]/(minpoly)``.
 
     ``minpoly`` is a monic coefficient tuple over ``below``; irreducibility
     is the caller's responsibility (``make_field`` checks it).
     ``inseparable`` (derived) marks a minpoly with zero derivative, as x^p - y.
+    ``_zech`` holds the tables of ``_zech_tables`` (see the module
+    docstring), or None.
     """
 
     def __init__(self, below, var, minpoly):
@@ -1027,6 +1079,9 @@ class ExtField(Field):
         )
         if type(below) in _INT_FIELDS:
             self._int_minpoly = below._ints(minpoly)
+        self._zech = None
+        if type(below) is FpField and below.p**self.deg <= _ZECH_MAX_SIZE:
+            self._zech = _zech_tables(below.p, tuple(c % below.p for c in minpoly))
 
     def __eq__(self, other):
         return (
@@ -1061,10 +1116,16 @@ class ExtField(Field):
     def mul(self, a, b):
         """Product of two elements.
 
-        Over F_p or Q: a schoolbook product on ints (``_ints``), reduced in
-        place by the int form of the minimal polynomial (scaling the common
-        denominator by its own, which only Q has), converted back once.
+        With Zech tables, ``exp[log a + log b]``.  Otherwise over F_p or Q:
+        a schoolbook product on ints (``_ints``), reduced in place by the int
+        form of the minimal polynomial (scaling the common denominator by its
+        own, which only Q has), converted back once.
         """
+        if self._zech is not None:
+            log, exp = self._zech
+            i, j = log.get(a), log.get(b)
+            if i is not None and j is not None:
+                return exp[i + j]
         K = self.below
         if type(K) in _INT_FIELDS:
             (m, dm), d = self._int_minpoly, self.deg
@@ -1084,6 +1145,11 @@ class ExtField(Field):
         return self.make(pmul(K, ptrim(K, a), ptrim(K, b)))
 
     def inv(self, a):
+        if self._zech is not None:
+            log, exp = self._zech
+            i = log.get(a)
+            if i is not None:
+                return exp[len(log) - i]
         K = self.below
         ap = ptrim(K, a)
         if not ap:
@@ -1122,6 +1188,11 @@ class ExtField(Field):
         if p == 0:
             raise UnsupportedField("p-th roots undefined in characteristic 0")
         q = self.size()
+        if self._zech is not None:
+            log, exp = self._zech
+            i = log.get(a)
+            if i is not None:
+                return exp[i * (q // p) % (q - 1)]
         if q is not None:
             return self.pow(a, q // p)
         if self.inseparable:

@@ -14,6 +14,7 @@ from modsym.fields import (
     field_to_descriptor,
     make_field,
     norm_to,
+    padd,
     pgcd,
     pmul,
     trace,
@@ -224,3 +225,23 @@ class TestDescriptors:
         for _ in range(5):
             x = F.rand(rng)
             assert F.elem_from_json(F.elem_to_json(x)) == x
+
+
+@pytest.mark.parametrize("name", ["F7(u)", "F7(u)(v)", "Q(u)"])
+def test_polynomial_sum_and_product_match_make(name, rng):
+    """``add`` and ``mul`` of two polynomials (both denominators 1) return the
+    numerator sum or product over 1, which is what ``make`` reduces them to."""
+    R = {
+        "F7(u)": RatFunField(FpField(7), "u"),
+        "F7(u)(v)": RatFunField(RatFunField(FpField(7), "u"), "v"),
+        "Q(u)": RatFunField(QField(), "u"),
+    }[name]
+    K = R.below
+    for _ in range(30):
+        n1 = rand_poly(K, rng, rng.randrange(4), nonzero=True)
+        n2 = rand_poly(K, rng, rng.randrange(4), nonzero=True)
+        a, b = R.from_poly(n1), R.from_poly(n2)
+        assert a[1] == b[1] == (K.one,)
+        assert R.add(a, b) == R.make(padd(K, n1, n2), (K.one,))
+        assert R.mul(a, b) == R.make(pmul(K, n1, n2), (K.one,))
+        assert R.add(a, R.neg(a)) == R.zero

@@ -10,9 +10,10 @@ count.  Standard library only (pytest runs the suite).
 
 It reports lines, not a verdict: CLI tests that start a subprocess are not
 traced, and the wall-clock gates of the suite can fail under tracing, so the
-suite's own result is only echoed to stderr.  When the CLI fuzz fails that
-way, Hypothesis shrinks it through more inputs, which can run a few more
-lines.  A full run takes minutes.
+suite's own result is only echoed to stderr.  Hypothesis runs with
+``--hypothesis-seed=0``, so two runs of one tree draw the same examples;
+when the CLI fuzz fails under tracing, Hypothesis shrinks it through more
+inputs, which can run a few more lines.  A full run takes minutes.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ def main():
     tracer.start()
     try:
         code = pytest.main(
-            ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", str(ROOT / "tests")],
+            [
+                "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", str(ROOT / "tests"),
+            ],
             plugins=[_ReArm(tracer)],
         )
         tracer.arm()
