@@ -22,6 +22,9 @@ functions, which include Horner evaluation and composition (``peval``,
 run one int path: the field reads elements as ints over one denominator
 (``_ints``) and converts each output back once (``_from_ints``).  A field of
 a subclass runs the generic per-element loops, the oracle of the tests.
+Over a ``RatFunField`` K(u), ``ExtField.mul`` runs the same loop on
+polynomials over K[u], cleared of their denominators (``_clear_ratfun``),
+and reduces each output coefficient once.
 Over F_p, division and Euclid share one loop, ``_fp_rem``; division over
 every other field, Q included, is the generic loop of ``pdivmod``.
 
@@ -620,12 +623,18 @@ def _image_points(field):
 def _clear_ratfun(F, poly):
     """A polynomial over F(u) times the lcm of its coefficient denominators:
     the coefficient list of an associate over F[u], trailing zeros dropped,
-    and that lcm."""
-    den = (F.one,)
+    and that lcm.  Unit denominators take no gcd, and when the lcm is 1 the
+    numerators are returned as they are (denominators are monic, so each
+    one is then 1)."""
+    one = den = (F.one,)
     for _, d in poly:
-        g = pgcd(F, den, d)
-        den = pdivmod(F, pmul(F, den, d), g)[0]
-    out = [pmul(F, n, pdivmod(F, den, d)[0]) for n, d in poly]
+        if d != one:
+            g = pgcd(F, den, d)
+            den = pdivmod(F, pmul(F, den, d), g)[0]
+    if den == one:
+        out = [n for n, _ in poly]
+    else:
+        out = [pmul(F, n, pdivmod(F, den, d)[0]) for n, d in poly]
     while out and not out[-1]:
         out.pop()
     return out, den
@@ -1079,6 +1088,9 @@ class ExtField(Field):
         )
         if type(below) in _INT_FIELDS:
             self._int_minpoly = below._ints(minpoly)
+        self._cleared_minpoly = None
+        if isinstance(below, RatFunField):
+            self._cleared_minpoly = _clear_ratfun(below.below, minpoly)
         self._zech = None
         if type(below) is FpField and below.p**self.deg <= _ZECH_MAX_SIZE:
             self._zech = _zech_tables(below.p, tuple(c % below.p for c in minpoly))
@@ -1119,7 +1131,10 @@ class ExtField(Field):
         With Zech tables, ``exp[log a + log b]``.  Otherwise over F_p or Q:
         a schoolbook product on ints (``_ints``), reduced in place by the int
         form of the minimal polynomial (scaling the common denominator by its
-        own, which only Q has), converted back once.
+        own, which only Q has), converted back once.  Over K(u) the same
+        loop runs on the operands cleared over K[u] (``_clear_ratfun``) and
+        the cleared minimal polynomial, and each output coefficient takes
+        one gcd, in ``make`` (Henrici, J. ACM 3, 1956).
         """
         if self._zech is not None:
             log, exp = self._zech
@@ -1142,7 +1157,35 @@ class ExtField(Field):
                     for i in range(d):
                         out[k + i] -= c * m[i]
             return K._from_ints(out, den)
+        if self._cleared_minpoly is not None:
+            return self._ratfun_mul(a, b)
         return self.make(pmul(K, ptrim(K, a), ptrim(K, b)))
+
+    def _ratfun_mul(self, a, b):
+        K, d = self.below, self.deg
+        F, one = K.below, (K.below.one,)
+        (m, dm), (na, da), (nb, db) = (
+            self._cleared_minpoly, _clear_ratfun(F, a), _clear_ratfun(F, b)
+        )
+        if not na or not nb:
+            return self.zero
+        out = [()] * (len(na) + len(nb) - 1)
+        for i, x in enumerate(na):
+            if x:
+                for j, y in enumerate(nb):
+                    out[i + j] = padd(F, out[i + j], pmul(F, x, y))
+        den = pmul(F, da, db)
+        out += [()] * (d - len(out))
+        while len(out) > d:
+            c = out.pop()
+            if c:
+                if dm != one:
+                    out = [pmul(F, x, dm) for x in out]
+                    den = pmul(F, den, dm)
+                k = len(out) - d
+                for i in range(d):
+                    out[k + i] = psub(F, out[k + i], pmul(F, c, m[i]))
+        return tuple(K.make(x, den) for x in out)
 
     def inv(self, a):
         if self._zech is not None:
@@ -1157,10 +1200,10 @@ class ExtField(Field):
         return self.make(pinv_mod(K, ap, self.minpoly))
 
     def from_int(self, n):
-        return self.make(pconst(self.below, self.below.from_int(n)))
+        return (self.below.from_int(n), *self.zero[1:])
 
     def lift(self, a):
-        return self.make(pconst(self.below, a))
+        return (a, *self.zero[1:])
 
     def in_below_image(self, a):
         if all(self.below.is_zero(x) for x in a[1:]):

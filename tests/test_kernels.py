@@ -3,8 +3,12 @@ arithmetic agree with the generic per-element loops.
 
 The kernels choose a fast path by the exact type of the field, so a field
 of a subclass of ``FpField`` or ``QField`` runs the generic code: that is
-the oracle here, for ``pxgcd`` (built on the other kernels) and for
-``ExtField.mul``, ``add``, ``neg`` and ``sub`` over such a base as well.
+the oracle here, for ``pmul``, ``pgcd``, ``pdivmod`` over F_p, ``pxgcd``
+(built on the other kernels) and for ``ExtField.mul`` over such a base.
+``ptrim``, ``padd`` and ``ExtField.add``, ``neg`` and ``sub`` have one path
+for every field, and so has ``pdivmod`` over Q, so those cases compare the
+path with itself; ``tests/test_generic_kernels.py`` checks them against
+their definitions.
 """
 
 from fractions import Fraction
