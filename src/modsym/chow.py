@@ -22,7 +22,6 @@ from .errors import (
     ZeroFirstCoordinate,
 )
 from .fields import field_to_descriptor, norm_to, trace_to
-from .kahler import dlog_wedge
 from .modpairs import SUM, pair_ga, pair_gm, product_pair, required_modulus
 from .symcalc import (
     SymbolSum,
@@ -166,7 +165,7 @@ def higher_cycle_class(K, a, bs, allow_out_of_hypothesis=False):
     _guard_char(K, "omega", allow_out_of_hypothesis)
     ss = SymbolSum(K, SUM, [SymbolTerm(1, K, ("Gm",) * len(bs), tuple(bs))])
     milnor = eval_milnor(ss)
-    wedge = dlog_wedge(K, bs)
+    wedge = milnor["dlog"]  # L = K: eval_milnor's dlog_wedge(K, bs), traced through nothing
     composite = wedge.scale(a)
     if K.is_zero(a):
         raise ZeroFirstCoordinate("the 1/a-normalized map needs a nonzero coordinate")

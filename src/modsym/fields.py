@@ -22,9 +22,10 @@ functions, which include Horner evaluation and composition (``peval``,
 run one int path: the field reads elements as ints over one denominator
 (``_ints``) and converts each output back once (``_from_ints``).  A field of
 a subclass runs the generic per-element loops, the oracle of the tests.
-Over a ``RatFunField`` K(u), ``ExtField.mul`` runs the same loop on
-polynomials over K[u], cleared of their denominators (``_clear_ratfun``),
-and reduces each output coefficient once.
+Over a ``RatFunField`` K(u), ``ExtField.mul`` multiplies polynomials over
+K[u], cleared of their denominators (``_clear_ratfun``), reduces them by
+``_prem``, the one pseudo-division over K[u], and reduces each output
+coefficient once.
 Over F_p, division and Euclid share one loop, ``_fp_rem``; division over
 every other field, Q included, is the generic loop of ``pdivmod``.
 
@@ -599,9 +600,10 @@ def _image_points(field):
     p, (p, α - r) is an unramified prime of degree 1.  The roots come from
     the first distinct-degree piece of m (``factor._ddf``): when its degree
     is 1, it is the product of the distinct linear factors of m, squarefree
-    or not, and equal-degree factorization splits it.
+    or not, and equal-degree factorization splits it, drawing from a fixed
+    local generator: the roots are sorted, so the draws cannot change them.
     """
-    from .factor import _RNG_SEED, _ddf, _edf  # deferred: factor imports this module
+    from .factor import _ddf, _edf  # deferred: factor imports this module
 
     out = []
     for p in _IMAGE_PRIMES:
@@ -615,7 +617,7 @@ def _image_points(field):
         linear, d = next(_ddf(F, m))
         if d == 1:
             unramified = len(_pgcd_fp(p, m, pderiv(F, m))) == 1
-            roots = (-g[0] % p for g in _edf(F, linear, 1, random.Random(_RNG_SEED)))
+            roots = (-g[0] % p for g in _edf(F, linear, 1, random.Random(0)))
             out.extend((F, r, unramified) for r in sorted(roots))
     return tuple(out)
 
@@ -665,8 +667,9 @@ def _exact_quo(F, a, b):
 
 
 def _scale_sub(F, c, X, d, k, Y):
-    """``c*X - d*t^k*Y`` for polynomials over F[u] (lists of F[u] coefficients)."""
-    out = [pmul(F, c, x) for x in X]
+    """``c*X - d*t^k*Y`` for polynomials over F[u] (lists of F[u] coefficients).
+    A unit ``c`` multiplies nothing."""
+    out = list(X) if c == (F.one,) else [pmul(F, c, x) for x in X]
     out += [()] * (k + len(Y) - len(out))
     for i, y in enumerate(Y):
         out[k + i] = psub(F, out[k + i], pmul(F, d, y))
@@ -679,7 +682,8 @@ def _prem(F, A, B, V=None, W=None):
     """True pseudo-remainder over F[u]: ``lc(B)^(deg A - deg B + 1) * A mod B``.
 
     Given cofactors ``V`` of A and ``W`` of B, the same combination of them
-    is returned as the remainder's cofactor, else None.
+    is returned as the remainder's cofactor, else None.  When ``lc(B)`` is
+    1 nothing is multiplied: the result is the plain remainder.
     """
     lb, n = B[-1], len(B)
     e = max(len(A) - n + 1, 0)
@@ -689,7 +693,7 @@ def _prem(F, A, B, V=None, W=None):
         if V is not None:
             V = _scale_sub(F, lb, V, la, k, W)
         e -= 1
-    if e:
+    if e and lb != (F.one,):
         # the degree dropped by more than one in a step: lc(B)^(delta+1) in all
         c = _upow(F, lb, e)
         A = [pmul(F, c, x) for x in A]
@@ -1131,10 +1135,12 @@ class ExtField(Field):
         With Zech tables, ``exp[log a + log b]``.  Otherwise over F_p or Q:
         a schoolbook product on ints (``_ints``), reduced in place by the int
         form of the minimal polynomial (scaling the common denominator by its
-        own, which only Q has), converted back once.  Over K(u) the same
-        loop runs on the operands cleared over K[u] (``_clear_ratfun``) and
-        the cleared minimal polynomial, and each output coefficient takes
-        one gcd, in ``make`` (Henrici, J. ACM 3, 1956).
+        own, which only Q has), converted back once.  Over K(u) the
+        operands cleared over K[u] (``_clear_ratfun``) are multiplied
+        schoolbook, their product is pseudo-reduced by the cleared minimal
+        polynomial (``_prem``, over the denominator times ``dm^e``), and
+        each output coefficient takes one gcd, in ``make`` (Henrici, J. ACM
+        3, 1956).
         """
         if self._zech is not None:
             log, exp = self._zech
@@ -1162,8 +1168,7 @@ class ExtField(Field):
         return self.make(pmul(K, ptrim(K, a), ptrim(K, b)))
 
     def _ratfun_mul(self, a, b):
-        K, d = self.below, self.deg
-        F, one = K.below, (K.below.one,)
+        K, d, F = self.below, self.deg, self.below.below
         (m, dm), (na, da), (nb, db) = (
             self._cleared_minpoly, _clear_ratfun(F, a), _clear_ratfun(F, b)
         )
@@ -1175,16 +1180,10 @@ class ExtField(Field):
                 for j, y in enumerate(nb):
                     out[i + j] = padd(F, out[i + j], pmul(F, x, y))
         den = pmul(F, da, db)
+        if len(out) > d and dm != (F.one,):  # _prem scales by dm^(len(out) - d)
+            den = pmul(F, den, _upow(F, dm, len(out) - d))
+        out = _prem(F, out, m)[0]
         out += [()] * (d - len(out))
-        while len(out) > d:
-            c = out.pop()
-            if c:
-                if dm != one:
-                    out = [pmul(F, x, dm) for x in out]
-                    den = pmul(F, den, dm)
-                k = len(out) - d
-                for i in range(d):
-                    out[k + i] = psub(F, out[k + i], pmul(F, c, m[i]))
         return tuple(K.make(x, den) for x in out)
 
     def inv(self, a):

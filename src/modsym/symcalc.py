@@ -73,8 +73,7 @@ class SymbolSum:
     def __init__(self, base, convention=SUM, terms=()):
         self.base = base
         self.convention = convention
-        merged = {}
-        order = []
+        merged = {}  # insertion order: the first occurrence of each key
         for t in terms:
             if t.coeff == 0:
                 continue
@@ -83,8 +82,7 @@ class SymbolSum:
                 merged[k] = merged[k]._replace(coeff=merged[k].coeff + t.coeff)
             else:
                 merged[k] = t
-                order.append(k)
-        self.terms = tuple(merged[k] for k in order if merged[k].coeff != 0)
+        self.terms = tuple(t for t in merged.values() if t.coeff != 0)
 
     def __add__(self, other):
         if other.base != self.base or other.convention != self.convention:

@@ -156,6 +156,26 @@ class TestRelationAndEval:
         assert code2 == 0
         assert json.loads(out2)["outside_theorem_hypotheses"] is True
 
+    def test_refined_product_convention_max(self, capsys):
+        """The Ga and Gm sections multiply with the paper's refined product:
+        f is congruent to 1 modulo the max of their moduli, not their sum."""
+        relation = (
+            "relation", "--field", "Q(t)", "--f", "(t^3+t+2)/(t^3+2)",
+            "--section", "Ga:t@inf:2", "--section", "Gm:t@t:1,inf:1",
+        )
+        code, out = run(capsys, "--json", "--convention", "sum", *relation)
+        assert code == 2
+        assert json.loads(out)["error"] == "CongruenceFailure"
+        code, out = run(capsys, "--json", "--convention", "max", *relation)
+        assert code == 0
+        ss = json.loads(out)["symbol_sum"]
+        assert ss["convention"] == "max"
+        code, out = run(
+            capsys, "--json", "eval", "--map", "omega", "--field", "Q", "--sum", json.dumps(ss),
+        )
+        assert code == 0
+        assert '"zero":true' in out
+
 
 class TestAdmissible:
     def test_line_source(self, capsys):
