@@ -457,6 +457,7 @@ def build_parser():
         required=True,
         help="TAG:EXPR@DIVISOR, e.g. 'Ga:3*t@inf:2'",
     )
+    s.add_argument("--convention", choices=["sum", "max"], default=argparse.SUPPRESS)
     s.set_defaults(handler=_cmd_relation)
 
     s = sub.add_parser("eval", help="evaluate a symbol sum (JSON)")

@@ -76,6 +76,7 @@ from .fields import (
     pmultiplicity,
     pneg,
     ppow_mod,
+    ppth_root,
     psub,
     ptrim,
     _clear_ratfun,
@@ -596,16 +597,16 @@ def _factor_monic(field, f):
         # f = g(t^p); recurse on g and resolve each factor q(t^p)
         g = ptrim(field, [f[i] for i in range(0, len(f), p)])
         for q, m in _factor_monic(field, g).items():
-            roots = [field.pth_root(c) for c in q]
-            if all(r is not None for r in roots):
-                for q2, m2 in _factor_monic(field, ptrim(field, roots)).items():
-                    out[q2] = out.get(q2, 0) + m * p * m2
-            else:
-                qp = tuple(
-                    q[i // p] if i % p == 0 else field.zero
-                    for i in range(p * (len(q) - 1) + 1)
-                )
-                out[ptrim(field, qp)] = out.get(ptrim(field, qp), 0) + m
+            qp = tuple(
+                q[i // p] if i % p == 0 else field.zero
+                for i in range(p * (len(q) - 1) + 1)
+            )
+            root = ppth_root(field, qp)
+            if root is None:
+                out[qp] = out.get(qp, 0) + m
+                continue
+            for q2, m2 in _factor_monic(field, root).items():
+                out[q2] = out.get(q2, 0) + m * p * m2
         return out
     g = pgcd(field, f, df)
     sf = _exact_quo(field, f, g) if len(g) > 1 else f

@@ -16,7 +16,8 @@ The public entry point mirroring the CLI descriptor grammar is
 
 Polynomials are coefficient tuples, low degree first, handled by the ``p*``
 functions, which include Horner evaluation and composition (``peval``,
-``pcompose``) and the power-series inverse ``pinv_series``.  ``ptrim`` and
+``pcompose``), the power-series inverse ``pinv_series`` and the p-th root
+``ppth_root`` (of ``RatFunField.pth_root`` and ``factor``).  ``ptrim`` and
 ``padd`` run one per-element loop for every field.  Over exactly
 ``FpField`` or ``QField`` (``_INT_FIELDS``), ``pmul`` and ``ExtField.mul``
 run one int path: the field reads elements as ints over one denominator
@@ -42,9 +43,10 @@ Q(α) by a simple step over Q, ``pgcd`` first reads both polynomials in F_p
 An ``ExtField`` over exactly ``FpField`` with at most ``_ZECH_MAX_SIZE``
 elements whose minimal polynomial is certified irreducible shares one pair of
 Zech log/antilog tables per ``(p, minpoly)`` (``_zech_tables``): its
-``mul``, ``inv`` and ``pth_root`` are lookups, and an element with no log
-(zero, or a tuple not in canonical form) takes the int path.  The route
-follows the field; there is nothing to configure.
+``mul`` and ``inv`` are lookups, so ``pth_root``, a power, is a few table
+products.  An element with no log (zero, or a tuple not in canonical form)
+takes the int path.  The route follows the field; there is nothing to
+configure.
 """
 
 import random
@@ -792,6 +794,24 @@ def pderiv(field, a):
     return ptrim(field, [field.mul(field.from_int(i), a[i]) for i in range(1, len(a))])
 
 
+def ppth_root(field, a):
+    """``b`` with ``b(t)^p == a(t)`` in characteristic p, or None.  Reads
+    ``a`` low degree first: a nonzero term off the multiples of p answers
+    None before any later coefficient's root is taken."""
+    p, out = field.char, []
+    for i, x in enumerate(a):
+        if field.is_zero(x):
+            continue
+        if i % p:
+            return None
+        r = field.pth_root(x)
+        if r is None:
+            return None
+        out += [field.zero] * (i // p + 1 - len(out))
+        out[i // p] = r
+    return ptrim(field, out)
+
+
 def peval(field, a, x):
     """``a(x)`` by Horner's rule."""
     acc = field.zero
@@ -1000,26 +1020,9 @@ class RatFunField(Field):
         )
 
     def pth_root(self, a):
-        p = self.char
-        if p == 0:
+        if self.char == 0:
             raise UnsupportedField("p-th roots undefined in characteristic 0")
-
-        def poly_root(c):
-            out = []
-            for i, x in enumerate(c):
-                if self.below.is_zero(x):
-                    continue
-                if i % p:
-                    return None
-                r = self.below.pth_root(x)
-                if r is None:
-                    return None
-                while len(out) <= i // p:
-                    out.append(self.below.zero)
-                out[i // p] = r
-            return ptrim(self.below, out)
-
-        num, den = poly_root(a[0]), poly_root(a[1])
+        num, den = ppth_root(self.below, a[0]), ppth_root(self.below, a[1])
         if num is None or den is None:
             return None
         return self.make(num, den)
@@ -1230,11 +1233,6 @@ class ExtField(Field):
         if p == 0:
             raise UnsupportedField("p-th roots undefined in characteristic 0")
         q = self.size()
-        if self._zech is not None:
-            log, exp = self._zech
-            i = log.get(a)
-            if i is not None:
-                return exp[i * (q // p) % (q - 1)]
         if q is not None:
             return self.pow(a, q // p)
         if self.inseparable:

@@ -393,26 +393,15 @@ def _tame_normalize(K, pieces):
 
 
 def _tame_residue(R, pieces, pi_point):
-    """Drop the uniformizer slot and reduce units to the residue field."""
-    K = R.below
+    """Drop the uniformizer slot and reduce units to the residue field: each
+    unit has valuation 0 (``_tame_expand`` divides by pi^v), so a residue."""
     out = []
     for coeff, slots in pieces:
         pis = [i for i, s in enumerate(slots) if s[0] == "pi"]
         if not pis:
             continue
-        i = pis[0]
-        sign = -1 if i % 2 else 1
-        rest = [s[1] for s in slots if s[0] == "u"]
-        resd = []
-        ok = True
-        for u in rest:
-            val = evaluate_at(R, u, pi_point)
-            if val is None:
-                ok = False
-                break
-            resd.append(val)
-        if not ok:
-            raise UnsupportedField("unit residue undefined at the chosen valuation")
+        sign = -1 if pis[0] % 2 else 1
+        resd = [evaluate_at(R, s[1], pi_point) for s in slots if s[0] == "u"]
         out.append((coeff * sign, resd))
     return out
 

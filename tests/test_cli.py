@@ -176,6 +176,20 @@ class TestRelationAndEval:
         assert code == 0
         assert '"zero":true' in out
 
+    def test_convention_after_the_subcommand(self, capsys):
+        """``relation`` takes ``--convention`` after the subcommand too, with
+        the same stdout; given both ways, the value after the subcommand wins."""
+        relation = (
+            "relation", "--field", "Q(t)", "--f", "(t^3+t+2)/(t^3+2)",
+            "--section", "Ga:t@inf:2", "--section", "Gm:t@t:1,inf:1",
+        )
+        before = run(capsys, "--json", "--convention", "max", *relation)
+        assert before[0] == 0
+        assert run(capsys, "--json", *relation, "--convention", "max") == before
+        assert run(capsys, "--json", "--convention", "sum", *relation, "--convention", "max") == before
+        code, out = run(capsys, "--json", "--convention", "max", *relation, "--convention", "sum")
+        assert code == 2 and json.loads(out)["error"] == "CongruenceFailure"
+
 
 class TestAdmissible:
     def test_line_source(self, capsys):
