@@ -20,15 +20,18 @@ Routes:
                                            subresultant PRS over K[t], is
                                            factored over K, and f is kept
                                            whole when that norm is irreducible
-* Q(α) = Q[x]/(m)                       -- first, f is kept whole when its
-                                           image in F_p at an unramified
-                                           prime (p, α - r) of degree 1 is
-                                           irreducible (Ben-Or's test: the
-                                           first ``_ddf`` piece is the whole
-                                           image), as a factorization would
-                                           reduce; else Trager as above
+* Q(α) = Q[x]/(m)                       -- first, Musser's degree sets: at
+                                           each unramified prime (p, α - r)
+                                           of degree 1 where the image of f
+                                           in F_p is squarefree, the subset
+                                           sums of its ``_ddf`` pattern hold
+                                           the degree of every factor, as a
+                                           factorization would reduce; f is
+                                           kept whole once the intersection
+                                           is {0, deg f}; else Trager as
+                                           above
 
-The image check sits in ``factor_squarefree``, so ``_ext_factor`` called
+The degree sets sit in ``factor_squarefree``, so ``_ext_factor`` called
 directly runs Trager alone, the oracle of the tests.
 
 Every factor found by recombination is certified by exact division (von zur
@@ -84,6 +87,7 @@ from .fields import (
     _fp_images,
     _int_conv,
     _is_prime,
+    _pgcd_fp,
     _primitive,
     _subresultant,
 )
@@ -577,11 +581,19 @@ def factor_squarefree(field, f):
             return _ratfun_factor(field, f)
         raise UnsupportedField("rational functions over an unsupported base")
     if isinstance(field, ExtField) and not field.inseparable:
-        # over Q(α): f is irreducible if its image at an unramified prime
-        # (p, α - r) of degree 1 is, as a factorization would reduce there
+        # over Q(α): every monic factor of f reduces at an unramified prime
+        # (p, α - r) of degree 1 to a product of factors of a squarefree
+        # image, so its degree is a subset sum of the image's pattern
+        degrees = None
         for F, unramified, (img,) in _fp_images(field, f):
-            if unramified and _fp_irreducible(F, img):
-                return [f]
+            if unramified and len(_pgcd_fp(F.p, img, pderiv(F, img))) == 1:
+                sums = {0}
+                for g, d in _ddf(F, img):
+                    for _ in range((len(g) - 1) // d):
+                        sums |= {s + d for s in sums}
+                degrees = sums if degrees is None else degrees & sums
+                if len(degrees) == 2:  # {0, deg f}
+                    return [f]
         return _ext_factor(field, f)
     raise UnsupportedField(f"factorization over {field!r} is not implemented")
 

@@ -32,13 +32,17 @@ every other field, Q included, is the generic loop of ``pdivmod``.
 
 Gcds, resultants and inverses modulo a monic polynomial (``pgcd``,
 ``_resultant``, ``pinv_mod``, so ``RatFunField`` arithmetic over K(u),
-``ExtField.inv`` and the norms of ``trace_norm``) over a ``RatFunField``
+``ExtField.inv`` of an element of degree >= 2 in the generator, and the
+norms of ``trace_norm``) over a ``RatFunField``
 K(u) run one fraction-free subresultant PRS on the denominator-cleared
 polynomials over K[u]: exact, with no gcd per step.  Over every other field
 they run Euclid (``pinv_mod`` keeping only the one cofactor it returns),
 and ``pxgcd`` stays the oracle of the tests for K(u) too.  Over Q and over
 Q(α) by a simple step over Q, ``pgcd`` first reads both polynomials in F_p
 (``_fp_images``) and answers 1 when the images prove them coprime.
+``ExtField.inv`` of a constant or of c1*(x - r) is closed-form, by one
+synthetic division of the minimal polynomial at r.  ``ppow_mod`` over F_p
+squares and multiplies on int lists reduced by ``_fp_rem``.
 
 An ``ExtField`` over exactly ``FpField`` with at most ``_ZECH_MAX_SIZE``
 elements whose minimal polynomial is certified irreducible shares one pair of
@@ -865,6 +869,26 @@ def pconst(field, c):
 
 
 def ppow_mod(field, a, n, m):
+    """``a^n`` modulo ``m`` by square-and-multiply; ``(1,)`` when n is 0.
+
+    Over exactly ``FpField`` the products are int lists (``_int_conv``)
+    reduced in place by ``_fp_rem``; every other field runs the generic
+    ``pmul``/``pmod`` loop, the oracle of the tests.
+    """
+    if type(field) is FpField:
+        p = field.p
+        inv = pow(m[-1], p - 2, p)
+        r, b = [1], list(a)
+        _fp_rem(p, b, m, inv)
+        while n:
+            if n & 1:
+                r = _int_conv(r, b)
+                _fp_rem(p, r, m, inv)
+            n >>= 1
+            if n:
+                b = _int_conv(b, b)
+                _fp_rem(p, b, m, inv)
+        return tuple(r)
     r = (field.one,)
     b = pmod(field, a, m)
     while n:
@@ -1190,6 +1214,14 @@ class ExtField(Field):
         return tuple(K.make(x, den) for x in out)
 
     def inv(self, a):
+        """Inverse of an element; ZeroDivisionInField for zero, or for a
+        zero divisor when the minimal polynomial m is reducible.
+
+        With Zech tables, ``exp[q - 1 - log a]``.  A constant c inverts as
+        the constant 1/c, and ``a = c1*(x - r)`` as ``-q/(c1*m(r))`` from one
+        synthetic division ``m = (x - r)*q + m(r)``.  Every other element
+        runs ``pinv_mod``, the oracle of the tests.
+        """
         if self._zech is not None:
             log, exp = self._zech
             i = log.get(a)
@@ -1199,7 +1231,19 @@ class ExtField(Field):
         ap = ptrim(K, a)
         if not ap:
             raise ZeroDivisionInField("inverse of 0")
-        return self.make(pinv_mod(K, ap, self.minpoly))
+        if len(ap) == 1:
+            return self.lift(K.inv(ap[0]))
+        if len(ap) > 2:
+            return self.make(pinv_mod(K, ap, self.minpoly))
+        # a*q = c1*(x - r)*q = -c1*m(r) mod m; K.inv raises when m(r) = 0
+        c1 = ap[1]
+        r = K.neg(K.mul(ap[0], K.inv(c1)))
+        q, acc = [], K.zero
+        for c in reversed(self.minpoly):
+            acc = K.add(K.mul(acc, r), c)
+            q.append(acc)
+        s = K.neg(K.inv(K.mul(c1, q.pop())))
+        return tuple([K.mul(s, c) for c in reversed(q)])
 
     def from_int(self, n):
         return (self.below.from_int(n), *self.zero[1:])

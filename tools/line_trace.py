@@ -37,14 +37,17 @@ def _code_lines(code):
     return out
 
 
-def executable_lines(path):
-    path = Path(path)
-    return _code_lines(compile(path.read_text(), str(path), "exec"))
+def executable_lines(path, text):
+    """Executable lines of ``text``, the source of ``path``."""
+    return _code_lines(compile(text, str(path), "exec"))
 
 
 class LineTracer:
     """Records the lines run in the given files while armed.
 
+    The files are read and compiled when the tracer is made, so an edit
+    during the run changes neither the lines counted nor the text printed;
+    a path with no file has no lines.
     ``arm`` installs the trace function again, for code (such as Hypothesis)
     that replaces it; ``stop`` restores the trace function found by
     ``start``.
@@ -52,6 +55,8 @@ class LineTracer:
 
     def __init__(self, paths):
         self.files = {str(Path(p).resolve()) for p in paths}
+        self.sources = {f: Path(f).read_text() if Path(f).is_file() else "" for f in self.files}
+        self.lines = {f: executable_lines(f, self.sources[f]) for f in self.files}
         self.hits = {f: set() for f in self.files}
         self._names = {}  # co_filename -> its resolved path, if traced
         self._previous = None
@@ -89,7 +94,7 @@ class LineTracer:
         return [
             (f, line)
             for f in sorted(self.files)
-            for line in sorted(executable_lines(f) - self.hits[f])
+            for line in sorted(self.lines[f] - self.hits[f])
         ]
 
 
@@ -139,9 +144,9 @@ def main():
         tracer.stop()
     print(f"pytest exit code under tracing: {int(code)}", file=sys.stderr)
     missed = tracer.never_ran()
-    total = sum(len(executable_lines(p)) for p in paths)
+    total = sum(len(lines) for lines in tracer.lines.values())
     for f, line in missed:
-        text = Path(f).read_text().splitlines()[line - 1].strip()
+        text = tracer.sources[f].splitlines()[line - 1].strip()
         print(f"{Path(f).relative_to(ROOT)}:{line}: {text}")
     print(f"{len(missed)} of {total} executable lines never ran")
     return 0
