@@ -69,9 +69,6 @@ class Divisor:
             and other.support == self.support
         )
 
-    def __hash__(self):
-        return hash((self.R, tuple(sorted(self.support.items(), key=_point_key))))
-
     def __getitem__(self, point):
         return self.support.get(point, 0)
 
@@ -97,16 +94,6 @@ class Divisor:
     def points(self):
         return sorted(self.support, key=lambda p: _point_key((p, 0)))
 
-    def __repr__(self):
-        if not self.support:
-            return "0"
-        bits = []
-        for p in self.points():
-            m = self.support[p]
-            name = "(inf)" if p == INF else f"({_poly_str(self.R, p)})"
-            bits.append((f"{m}" if m != 1 else "") + name)
-        return " + ".join(bits)
-
     def to_json(self):
         K = self.R.below
         out = []
@@ -131,11 +118,6 @@ def _point_key(item):
     if p == INF:
         return (0, "")
     return (1, len(p), json.dumps([str(c) for c in p]))
-
-
-def _poly_str(R, p):
-    K = R.below
-    return R.to_str((p, (K.one,)))
 
 
 def divisor_of(R, f):

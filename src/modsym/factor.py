@@ -5,7 +5,9 @@ Routes:
 * finite fields (any finite tower)      -- Cantor-Zassenhaus: distinct-degree
                                            pieces on the Frobenius rows
                                            x^(iq) mod f (``_ddf``), split
-                                           by equal-degree factorization
+                                           by equal-degree factorization;
+                                           over F_q with Zech tables the
+                                           kernels run on logs
 * Q                                     -- Zassenhaus: Cantor-Zassenhaus mod a
                                            small prime p, p-adic Hensel lifting
                                            past the Mignotte bound, subset
@@ -22,8 +24,10 @@ Routes:
                                            whole when that norm is irreducible
 * Q(α) = Q[x]/(m)                       -- first, Musser's degree sets: at
                                            each unramified prime (p, α - r)
-                                           of degree 1 where the image of f
-                                           in F_p is squarefree, the subset
+                                           of degree 1, p prime in
+                                           ``_DEGREE_SET_PRIMES`` (small, so
+                                           x^p is cheap), where the image of
+                                           f in F_p is squarefree, the subset
                                            sums of its ``_ddf`` pattern hold
                                            the degree of every factor, as a
                                            factorization would reduce; f is
@@ -93,6 +97,10 @@ from .fields import (
 )
 
 _RNG_SEED = 20260824
+
+# The image primes of the degree sets over Q(α) (``_image_points`` skips
+# the numbers that are not prime).
+_DEGREE_SET_PRIMES = range(131, 512)
 
 
 def elems(field):
@@ -585,7 +593,7 @@ def factor_squarefree(field, f):
         # (p, α - r) of degree 1 to a product of factors of a squarefree
         # image, so its degree is a subset sum of the image's pattern
         degrees = None
-        for F, unramified, (img,) in _fp_images(field, f):
+        for F, unramified, (img,) in _fp_images(field, f, primes=_DEGREE_SET_PRIMES):
             if unramified and len(_pgcd_fp(F.p, img, pderiv(F, img))) == 1:
                 sums = {0}
                 for g, d in _ddf(F, img):

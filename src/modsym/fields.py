@@ -48,8 +48,10 @@ An ``ExtField`` over exactly ``FpField`` with at most ``_ZECH_MAX_SIZE``
 elements whose minimal polynomial is certified irreducible shares one pair of
 Zech log/antilog tables per ``(p, minpoly)`` (``_zech_tables``): its
 ``mul`` and ``inv`` are lookups, so ``pth_root``, a power, is a few table
-products.  An element with no log (zero, or a tuple not in canonical form)
-takes the int path.  The route follows the field; there is nothing to
+products.  ``pmul``, ``pdivmod`` (so ``pmod`` and Euclid in ``pgcd``) and
+``ppow_mod`` over it run on lists of logs, adding by Zech's logarithm
+(``_zech_sums``).  An element with no log (zero, or a tuple not in canonical
+form) takes the int path.  The route follows the field; there is nothing to
 configure.
 """
 
@@ -418,6 +420,9 @@ def pmul(field, a, b):
     if type(field) in _INT_FIELDS:
         (na, da), (nb, db) = field._ints(a), field._ints(b)
         return ptrim(field, field._from_ints(_int_conv(na, nb), da * db))
+    zl = _zech_logs(field, a, b)
+    if zl is not None:
+        return _zech_out(field, _zech_mul(zl[0], *zl[1]))
     z = field.zero
     out = [z] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -435,11 +440,11 @@ def pscale(field, a, c):
 def pdivmod(field, a, b):
     """Quotient and remainder of ``a`` by ``b``, both trimmed.
 
-    One loop for every field but F_p, where it is ``_fp_rem``: each step
-    takes the leading term off ``a`` and subtracts its multiple of the rest
-    of ``b``, as the leading terms cancel exactly.  A monic divisor is never
-    inverted.  Raises ZeroDivisionInField when ``b`` is zero or its last
-    coefficient is.
+    One loop for every field but F_p, where it is ``_fp_rem``, and a field
+    with Zech tables, where it is ``_zech_rem``: each step takes the leading
+    term off ``a`` and subtracts its multiple of the rest of ``b``, as the
+    leading terms cancel exactly.  A monic divisor is never inverted.
+    Raises ZeroDivisionInField when ``b`` is zero or its last coefficient is.
     """
     if not b:
         raise ZeroDivisionInField("polynomial division by zero")
@@ -451,6 +456,11 @@ def pdivmod(field, a, b):
     if type(field) is FpField:
         _fp_rem(field.p, a, b, inv_lead, q)
         return ptrim(field, q), tuple(a)
+    zl = _zech_logs(field, a, b)
+    if zl is not None:
+        (zs, (a, b)), q = zl, [-1] * len(q)
+        _zech_rem(zs, a, b, q)
+        return _zech_out(field, q), _zech_out(field, a)
     while len(a) >= lb:
         c = a.pop()
         if field.is_zero(c):
@@ -465,7 +475,7 @@ def pdivmod(field, a, b):
 
 
 def _fp_rem(p, a, b, inv, q=None):
-    """Reduce the int list ``a`` mod ``b`` over F_p in place, trimmed and
+    """The int list ``a`` reduced mod ``b`` over F_p in place, trimmed and
     with entries in [0, p); ``inv`` is the inverse of ``b[-1]``.  Each
     quotient term ``c*x^k`` comes off ``a`` with ``c`` reduced mod p, and
     goes to ``q[k]`` if ``q`` is a list; the other entries are reduced once,
@@ -483,6 +493,72 @@ def _fp_rem(p, a, b, inv, q=None):
     a[:] = [x % p for x in a]
     while a and not a[-1]:
         a.pop()
+    return a
+
+
+def _zech_logs(field, *polys):
+    """``(zs, logs)``: the tables ``_zech_sums`` of exactly an ``ExtField``
+    with Zech tables and each polynomial, trimmed, as a list of logs (-1 for
+    zero); None for any other field, or if an entry has no log (not canonical)."""
+    if type(field) is not ExtField or field._zech is None:
+        return None
+    log, zero = field._zech[0], field.zero
+    try:
+        logs = [[-1 if x == zero else log[x] for x in ptrim(field, p)] for p in polys]
+    except KeyError:
+        return None
+    return field._zsums, logs
+
+
+def _zech_out(field, logs):
+    """A log list over ``field`` as a trimmed coefficient tuple."""
+    exp, zero = field._zech[1], field.zero
+    while logs and logs[-1] < 0:
+        logs.pop()
+    return tuple([exp[i] if i >= 0 else zero for i in logs])
+
+
+def _zech_axpy(Z, out, k, c, b):
+    """``out[k + i] += g^c * b[i]`` on log lists, in place: a product adds
+    logs, and g^o + g^t = g^(o + Z[t - o]) with ``Z`` of ``_zech_sums``."""
+    q1 = len(Z)
+    for i, y in enumerate(b, k):
+        if y >= 0:
+            t = (c + y) % q1
+            o = out[i]
+            if o < 0:
+                out[i] = t
+            else:
+                z = Z[t - o]  # a negative index wraps mod q - 1
+                out[i] = -1 if z < 0 else (o + z) % q1
+
+
+def _zech_mul(zs, a, b):
+    """Product of two log lists, untrimmed."""
+    out = [-1] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x >= 0:
+            _zech_axpy(zs[0], out, i, x, b)
+    return out
+
+
+def _zech_rem(zs, a, b, q=None):
+    """``_fp_rem`` on log lists (``b[-1]`` is not -1); the rest of ``b`` is
+    negated once, by the log of -1."""
+    (Z, neg), q1 = zs, len(zs[0])
+    inv, lb = -b[-1] % q1, len(b)
+    nb = [-1 if y < 0 else (y + neg) % q1 for y in b[:-1]]
+    while len(a) >= lb:
+        c = a.pop()
+        if c >= 0:
+            c = (c + inv) % q1
+            k = len(a) - lb + 1
+            if q is not None:
+                q[k] = c
+            _zech_axpy(Z, a, k, c, nb)
+    while a and a[-1] < 0:
+        a.pop()
+    return a
 
 
 def pmod(field, a, b):
@@ -561,18 +637,18 @@ _IMAGE_PRIMES = (
 )
 
 
-def _fp_images(field, *polys):
+def _fp_images(field, *polys, primes=_IMAGE_PRIMES):
     """Images of nonzero polynomials over Q, or over Q(α) by a simple step
     over Q, in F_p: one ``(Fp, unramified, images)`` per point of
-    ``_image_points`` at which every denominator in ``polys`` is prime to
-    p, ``images`` holding one untrimmed int list per polynomial.  Over any
-    other field there is no point.
+    ``_image_points(field, primes)`` at which every denominator in ``polys``
+    is prime to p, ``images`` holding one untrimmed int list per polynomial.
+    Over any other field there is no point.
     """
     if type(field) is not QField and not (
         type(field) is ExtField and type(field.below) is QField
     ):
         return
-    for F, r, unramified in _image_points(field):
+    for F, r, unramified in _image_points(field, primes):
         images = [_fp_image(F.p, r, poly) for poly in polys]
         if None not in images:
             yield F, unramified, images
@@ -597,9 +673,9 @@ def _fp_image(p, r, poly):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _image_points(field):
+def _image_points(field, primes=_IMAGE_PRIMES):
     """The points ``(Fp, r, unramified)`` of ``_fp_images``: over Q one per
-    prime of ``_IMAGE_PRIMES`` (``r`` None); over Q(α) one per root ``r`` of
+    prime in ``primes`` (``r`` None); over Q(α) one per root ``r`` of
     the minimal polynomial m mod p, for the primes at which m is p-integral,
     with ``unramified`` true when m is squarefree mod p.  Then α -> r maps
     the p-integral elements of Q(α) onto F_p, and when m is squarefree mod
@@ -612,7 +688,7 @@ def _image_points(field):
     from .factor import _ddf, _edf  # deferred: factor imports this module
 
     out = []
-    for p in _IMAGE_PRIMES:
+    for p in filter(_is_prime, primes):
         F = FpField(p)
         if type(field) is QField:
             out.append((F, None, True))
@@ -871,32 +947,32 @@ def pconst(field, c):
 def ppow_mod(field, a, n, m):
     """``a^n`` modulo ``m`` by square-and-multiply; ``(1,)`` when n is 0.
 
-    Over exactly ``FpField`` the products are int lists (``_int_conv``)
-    reduced in place by ``_fp_rem``; every other field runs the generic
-    ``pmul``/``pmod`` loop, the oracle of the tests.
+    One loop on a product ``mulmod``: over exactly ``FpField`` int lists
+    (``_int_conv``) reduced in place by ``_fp_rem``; over a field with Zech
+    tables log lists, converted once each way (``_zech_mul``,
+    ``_zech_rem``); over every other field the generic ``pmul``/``pmod``,
+    the oracle of the tests.
     """
+    zl = _zech_logs(field, a, m)
     if type(field) is FpField:
-        p = field.p
+        p, one, out = field.p, [1], tuple
         inv = pow(m[-1], p - 2, p)
-        r, b = [1], list(a)
-        _fp_rem(p, b, m, inv)
-        while n:
-            if n & 1:
-                r = _int_conv(r, b)
-                _fp_rem(p, r, m, inv)
-            n >>= 1
-            if n:
-                b = _int_conv(b, b)
-                _fp_rem(p, b, m, inv)
-        return tuple(r)
-    r = (field.one,)
-    b = pmod(field, a, m)
+        mulmod = lambda x, y: _fp_rem(p, _int_conv(x, y), m, inv)
+    elif zl is not None:
+        (zs, (a, lm)), one = zl, [0]
+        mulmod = lambda x, y: _zech_rem(zs, _zech_mul(zs, x, y), lm)
+        out = lambda r: _zech_out(field, r)
+    else:
+        one, out = (field.one,), tuple
+        mulmod = lambda x, y: pmod(field, pmul(field, x, y), m)
+    r, b = one, mulmod(one, a)
     while n:
         if n & 1:
-            r = pmod(field, pmul(field, r, b), m)
-        b = pmod(field, pmul(field, b, b), m)
+            r = mulmod(r, b)
         n >>= 1
-    return r
+        if n:
+            b = mulmod(b, b)
+    return out(r)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,6 +1167,18 @@ def _zech_tables(p, minpoly):
     return {e: i for i, e in enumerate(exp)}, exp + exp
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _zech_sums(p, minpoly):
+    """``(Z, neg)`` of the log-list kernels over the tables of
+    ``_zech_tables``: Zech's logarithm ``Z[n] = log(1 + g^n)`` for
+    n < q - 1 (-1 where 1 + g^n is zero), and ``neg`` the log of -1
+    ((q - 1)/2, or 0 in char 2)."""
+    log, exp = _zech_tables(p, minpoly)
+    q1 = len(log)
+    Z = [log.get(((e[0] + 1) % p, *e[1:]), -1) for e in exp[:q1]]
+    return Z, q1 // 2 if p % 2 else 0
+
+
 class ExtField(Field):
     """Simple algebraic extension ``below[var]/(minpoly)``.
 
@@ -1098,7 +1186,7 @@ class ExtField(Field):
     is the caller's responsibility (``make_field`` checks it).
     ``inseparable`` (derived) marks a minpoly with zero derivative, as x^p - y.
     ``_zech`` holds the tables of ``_zech_tables`` (see the module
-    docstring), or None.
+    docstring), or None; ``_zsums`` then holds those of ``_zech_sums``.
     """
 
     def __init__(self, below, var, minpoly):
@@ -1122,9 +1210,11 @@ class ExtField(Field):
         self._cleared_minpoly = None
         if isinstance(below, RatFunField):
             self._cleared_minpoly = _clear_ratfun(below.below, minpoly)
-        self._zech = None
+        self._zech = self._zsums = None
         if type(below) is FpField and below.p**self.deg <= _ZECH_MAX_SIZE:
-            self._zech = _zech_tables(below.p, tuple(c % below.p for c in minpoly))
+            key = (below.p, tuple(c % below.p for c in minpoly))
+            self._zech = _zech_tables(*key)
+            self._zsums = self._zech and _zech_sums(*key)
 
     def __eq__(self, other):
         return (

@@ -8,7 +8,8 @@ lower basis element.  Towers where this recipe fails to produce a free
 module are rejected.
 
 ``differential`` applies the quotient rule to polynomials over the field
-below, and ``dlog_wedge(K, bs).scale(a)`` builds a dlog b_1 ^ ... ^ dlog b_n.
+below, and ``dlog_wedge(K, bs).scale(a)`` builds a dlog b_1 ^ ... ^ dlog b_n,
+zero with no dlog taken once n exceeds the rank of this free module.
 
 Jets (K tensor_Z K)/I_Delta^2 are stored decomposed as (omega, scalar) with
 a tensor a(x)b mapping to (a db, ab); the alternative decomposition
@@ -66,7 +67,7 @@ def _elim_data(K):
         if v0 is None:
             raise UnsupportedField("dy = 0: cannot present Omega of this tower freely")
     inv = K.inv(rel[v0])
-    return v0, {v: K.mul(inv, w) for v, w in rel.items()}
+    return v0, {v: K.one if v == v0 else K.mul(inv, w) for v, w in rel.items()}
 
 
 def _transpose(B, dicts):
@@ -151,9 +152,6 @@ class DifferentialForm:
             and other.coords == self.coords
         )
 
-    def __hash__(self):
-        return hash((self.field, self.degree, tuple(sorted(self.coords.items()))))
-
     def is_zero(self):
         return not self.coords
 
@@ -200,16 +198,6 @@ class DifferentialForm:
                 out[key] = K.add(out.get(key, K.zero), c)
         return DifferentialForm(K, self.degree + other.degree, out)
 
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        bits = []
-        for m in sorted(self.coords):
-            c = self.field.to_str(self.coords[m])
-            mono = "^".join(f"d{v}" for v in m) if m else ""
-            bits.append(f"({c})" + (f" {mono}" if mono else ""))
-        return " + ".join(bits)
-
     def to_json(self):
         K = self.field
         return [
@@ -246,17 +234,28 @@ def d_form(form):
 
 
 def dlog(K, b):
+    """d(b)/b; no inverse is taken when d(b) is zero."""
     if K.is_zero(b):
         raise ZeroArgument("dlog of zero")
-    return differential(K, b).scale(K.inv(b))
+    form = differential(K, b)
+    return form.scale(K.inv(b)) if form.coords else form
 
 
 def dlog_wedge(K, bs):
-    """dlog(b1) ^ ... ^ dlog(bn)."""
-    out = DifferentialForm(K, 0, {(): K.one})
-    for b in bs:
-        out = out.wedge(dlog(K, b))
-    return out
+    """dlog(b1) ^ ... ^ dlog(bn), reading ``bs`` lazily.
+
+    Omega^1_K is free on ``basis_vars(K)``, so Omega^n_K = 0 for n above its
+    rank (Matsumura, *Commutative Ring Theory*, section 26): from there on
+    each b is only checked for zero, and no dlog is taken.  Each b is
+    checked before the rank is read, as before its dlog.
+    """
+    out, n = DifferentialForm(K, 0, {(): K.one}), 0
+    for n, b in enumerate(bs, 1):
+        if K.is_zero(b):
+            raise ZeroArgument("dlog of zero")
+        if out.degree == n - 1 and n <= len(basis_vars(K)):
+            out = out.wedge(dlog(K, b))
+    return out if out.degree == n else DifferentialForm.zero(K, n)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +314,6 @@ class JetElement:
             and other.scalar == self.scalar
         )
 
-    def __hash__(self):
-        return hash((self.field, self.omega, self.scalar))
-
     def __add__(self, other):
         return JetElement(
             self.field,
@@ -337,9 +333,6 @@ class JetElement:
 
     def is_zero(self):
         return self.omega.is_zero() and self.field.is_zero(self.scalar)
-
-    def __repr__(self):
-        return f"({self.omega!r} ; {self.field.to_str(self.scalar)})"
 
     def to_json(self):
         return {

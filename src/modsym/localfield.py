@@ -138,21 +138,6 @@ class Laurent:
         prec = None if (self.exact and len(u) == 1) else prec_target
         return Laurent(F, self.var, -v, pinv_series(F, u, nterms), prec)
 
-    def __repr__(self):
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if self.F.is_zero(c):
-                continue
-            e = self.lead + i
-            cs = self.F.to_str(c)
-            if e == 0:
-                bits.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                bits.append(f"{head}{self.var}" + (f"^{e}" if e != 1 else ""))
-        tail = "" if self.exact else f" + O({self.var}^{self.prec})"
-        return (" + ".join(bits) if bits else "0") + tail
-
     def to_json(self):
         return {
             "var": self.var,
